@@ -16,7 +16,7 @@
 //!   unordered scratch (every later depth rescans all of Ψ), so that half
 //!   is vacuous here and is not applied.
 //! * **[5b] real legality** — all of ξ's immediate predecessors are already
-//!   scheduled (O(1) via a pending-predecessor counter).
+//!   scheduled (O(1) via the frontier's pending-predecessor counter).
 //! * **[5c] equivalence** — skip swapping two *interchangeable free*
 //!   instructions: both `σ = ∅` and `ρ = ∅` **and identical successor
 //!   sets**. The paper's printed rule omits the successor condition, and
@@ -42,12 +42,22 @@
 //! operation to several pipelines (the feature §4.1 footnote 3 excludes
 //! from the paper's algorithm), with symmetry breaking over units in
 //! identical states.
+//!
+//! Each placement (one Ω call) pushes the instruction onto the timing
+//! engine and advances the search *frontier* (`crate::bounds::Frontier`)
+//! before the bound is taken: pending-predecessor counts, the ready set as
+//! a bit set, and each newly ready instruction's dependence head, computed
+//! once from its placed predecessors. Both are undone after the subtree or
+//! the prune, at a cost proportional to the instruction's successors, so
+//! the bound never rescans the block. Nothing on the per-placement path
+//! allocates — the structural-equivalence classes tried per node share one
+//! preallocated stack — which `tests/alloc_free_kernel.rs` checks exactly.
 
 use pipesched_ir::{analysis::verify_schedule, TupleId};
 use pipesched_machine::PipelineId;
 
 pub use crate::bounds::BoundKind;
-use crate::bounds::LowerBound;
+use crate::bounds::{Frontier, LowerBound};
 use crate::context::SchedContext;
 use crate::profile::{DepthStats, SearchProfile};
 use crate::proof::{
@@ -634,17 +644,11 @@ pub(crate) fn run_subtree<P: SearchPolicy>(
         s.policy.stopping(&s.stats);
         return s.stats;
     }
-    // Replay the committed prefix: timing, readiness and resource-bound
-    // state exactly as `place_and_recurse` would have left them.
+    // Replay the committed prefix: timing and frontier state exactly as
+    // `place_and_recurse` would have left them.
     for d in 0..depth {
         let xi = s.order[d];
-        s.engine.push(xi, s.ctx.sigma(xi));
-        for e in s.ctx.dag.succs(xi) {
-            s.pending_preds[e.to.index()] -= 1;
-        }
-        if let Some(p) = s.counted_pipe(xi) {
-            s.remaining_per_pipe[p.index()] -= 1;
-        }
+        s.place(xi, s.ctx.sigma(xi));
     }
     s.dfs(depth);
     s.stats
@@ -674,12 +678,15 @@ struct Search<'c, 'a, P: SearchPolicy> {
     engine: TimingEngine<'c, 'a>,
     /// Current ordering Π; positions < depth are the committed prefix Φ.
     order: Vec<TupleId>,
-    /// Pending (unscheduled) immediate-predecessor counts.
-    pending_preds: Vec<u32>,
-    /// Unscheduled instructions per pipeline (for the resource bound).
-    remaining_per_pipe: Vec<u32>,
+    /// Readiness state of the placed prefix, kept in step with `engine`.
+    frontier: Frontier,
     /// Structural equivalence class per tuple (only when Structural mode).
     equiv_class: Vec<u32>,
+    /// Structural classes tried so far, with the first member placed for
+    /// each — the equivalence witness the certificate records. One stack
+    /// shared by the whole path: each node owns the entries above the
+    /// length it found on entry and truncates back to it on exit.
+    tried_classes: Vec<(u32, TupleId)>,
     lower_bound: Option<LowerBound>,
     global_lb: Option<u32>,
     best_nops: u32,
@@ -701,24 +708,12 @@ impl<'c, 'a, P: SearchPolicy> Search<'c, 'a, P> {
         policy: P,
     ) -> Self {
         let n = ctx.len();
-        let pending_preds: Vec<u32> = (0..n).map(|i| ctx.preds[i].len() as u32).collect();
-        // For the resource bound: ops whose unit is *fixed*. When pipeline
-        // selection is enabled, ops with a choice of units are excluded so
-        // the per-pipe count never overstates the load on any single unit
-        // (which would make the bound inadmissible).
-        let mut remaining_per_pipe = vec![0u32; ctx.machine.pipeline_count()];
-        for i in 0..n {
-            if cfg.pipeline_selection && ctx.allowed[i].len() > 1 {
-                continue;
-            }
-            if let Some(p) = ctx.sigma[i] {
-                remaining_per_pipe[p.index()] += 1;
-            }
-        }
-        let equiv_class = if cfg.equivalence == EquivalenceMode::Structural {
-            structural_classes(ctx)
+        let (equiv_class, tried_classes) = if cfg.equivalence == EquivalenceMode::Structural {
+            // A node at depth d tries at most n - d classes, so the stack
+            // never outgrows n(n+1)/2 entries and never reallocates.
+            (structural_classes(ctx), Vec::with_capacity(n * (n + 1) / 2))
         } else {
-            Vec::new()
+            (Vec::new(), Vec::new())
         };
         let lower_bound = match cfg.bound {
             BoundKind::AlphaBeta => None,
@@ -731,9 +726,9 @@ impl<'c, 'a, P: SearchPolicy> Search<'c, 'a, P> {
             cfg: *cfg,
             engine: TimingEngine::with_boundary(ctx, boundary),
             order: initial_order.clone(),
-            pending_preds,
-            remaining_per_pipe,
+            frontier: Frontier::new(ctx, cfg.pipeline_selection),
             equiv_class,
+            tried_classes,
             lower_bound,
             global_lb: None,
             best_nops: initial_nops,
@@ -809,15 +804,13 @@ impl<'c, 'a, P: SearchPolicy> Search<'c, 'a, P> {
         }
 
         let kappa = self.order[depth];
-        // Structural classes already tried at this depth, with the first
-        // member placed for each — the equivalence witness the certificate
-        // records.
-        let mut tried_classes: Vec<(u32, TupleId)> = Vec::new();
+        // This node's structural classes live in `tried_classes[tried..]`.
+        let tried = self.tried_classes.len();
 
         for j in depth..n {
             if self.stop || self.policy.poll_stop() {
                 self.stop = true;
-                return;
+                break;
             }
             let xi = self.order[j];
 
@@ -829,7 +822,7 @@ impl<'c, 'a, P: SearchPolicy> Search<'c, 'a, P> {
                 continue;
             }
             // [5b] real legality: every predecessor already scheduled.
-            if self.pending_preds[xi.index()] > 0 {
+            if !self.frontier.is_ready(xi) {
                 self.stats.pruned_legality += 1;
                 self.prof(depth, |d| d.pruned_legality += 1);
                 self.log(ProofEvent::LegalityPrune { candidate: xi.0 });
@@ -870,7 +863,10 @@ impl<'c, 'a, P: SearchPolicy> Search<'c, 'a, P> {
                 }
                 EquivalenceMode::Structural => {
                     let class = self.equiv_class[xi.index()];
-                    if let Some(&(_, witness)) = tried_classes.iter().find(|(c, _)| *c == class) {
+                    if let Some(&(_, witness)) = self.tried_classes[tried..]
+                        .iter()
+                        .find(|(c, _)| *c == class)
+                    {
                         self.stats.pruned_equivalence += 1;
                         self.prof(depth, |d| d.pruned_equivalence += 1);
                         self.log(ProofEvent::EquivalencePrune {
@@ -879,7 +875,7 @@ impl<'c, 'a, P: SearchPolicy> Search<'c, 'a, P> {
                         });
                         continue;
                     }
-                    tried_classes.push((class, xi));
+                    self.tried_classes.push((class, xi));
                 }
             }
 
@@ -887,36 +883,37 @@ impl<'c, 'a, P: SearchPolicy> Search<'c, 'a, P> {
             self.try_candidate(depth, xi);
             self.order.swap(depth, j);
             if self.stop {
-                return;
+                break;
             }
         }
-        // Every unscheduled instruction was dispositioned: close the node.
-        self.log(ProofEvent::Leave);
+        self.tried_classes.truncate(tried);
+        if !self.stop {
+            // Every unscheduled instruction was dispositioned: close the node.
+            self.log(ProofEvent::Leave);
+        }
     }
 
     /// Place `xi` at `depth` on each viable pipeline unit and recurse.
     fn try_candidate(&mut self, depth: usize, xi: TupleId) {
-        if !self.cfg.pipeline_selection || self.ctx.allowed[xi.index()].len() <= 1 {
-            let pipe = self.ctx.sigma(xi);
-            self.place_and_recurse(depth, xi, pipe);
+        let ctx = self.ctx;
+        let allowed = &ctx.allowed[xi.index()];
+        if !self.cfg.pipeline_selection || allowed.len() <= 1 {
+            self.place_and_recurse(depth, xi, ctx.sigma(xi));
             return;
         }
         // Selection extension: try each distinct unit state. Two units with
         // identical timing parameters and identical last-issue state are
-        // interchangeable; trying one preserves optimality.
-        let mut seen: Vec<(u32, u32, Option<i64>)> = Vec::new();
-        let allowed = self.ctx.allowed[xi.index()].clone();
-        for p in allowed {
-            let key = (
-                self.ctx.latency(p),
-                self.ctx.enqueue(p),
-                last_issue_of(&self.engine, self.ctx, p),
-            );
-            if seen.contains(&key) {
+        // interchangeable; trying only the first of them in `allowed`
+        // preserves optimality.
+        let state = |engine: &TimingEngine<'_, '_>, p: PipelineId| {
+            (ctx.latency(p), ctx.enqueue(p), engine.last_issue(p))
+        };
+        for (k, &p) in allowed.iter().enumerate() {
+            let key = state(&self.engine, p);
+            if allowed[..k].iter().any(|&q| state(&self.engine, q) == key) {
                 self.stats.pruned_symmetry += 1;
                 continue;
             }
-            seen.push(key);
             self.place_and_recurse(depth, xi, Some(p));
             if self.stop {
                 return;
@@ -950,42 +947,14 @@ impl<'c, 'a, P: SearchPolicy> Search<'c, 'a, P> {
             }
         }
 
-        self.engine.push(xi, pipe);
-
-        let counted_pipe = self.counted_pipe(xi);
-        // Chain/resource terms of the bound, captured for the certificate.
-        let mut proof_terms: Option<(i64, i64)> = None;
-        let bound = match (&self.lower_bound, self.cfg.bound) {
-            (Some(lb), BoundKind::CriticalPath) => {
-                // Account for the placement before computing the bound.
-                if let Some(p) = counted_pipe {
-                    self.remaining_per_pipe[p.index()] -= 1;
-                }
-                let ready = self.ready_after(xi);
-                let b = if P::PROOF {
-                    let (chain, resource, b) = lb.terms(
-                        self.ctx,
-                        &self.engine,
-                        ready.into_iter(),
-                        &self.remaining_per_pipe,
-                    );
-                    proof_terms = Some((chain, resource));
-                    b
-                } else {
-                    lb.bound_with_selection(
-                        self.ctx,
-                        &self.engine,
-                        ready.into_iter(),
-                        &self.remaining_per_pipe,
-                        self.cfg.pipeline_selection,
-                    )
-                };
-                if let Some(p) = counted_pipe {
-                    self.remaining_per_pipe[p.index()] += 1;
-                }
-                b
+        self.place(xi, pipe);
+        // The bound, with its chain/resource terms for the certificate.
+        let (bound, proof_terms) = match &self.lower_bound {
+            Some(lb) => {
+                let (chain, resource, b) = lb.terms(self.ctx, &self.engine, &self.frontier);
+                (b, Some((chain, resource)))
             }
-            _ => self.engine.total_nops(),
+            None => (self.engine.total_nops(), None),
         };
 
         // Under a shared incumbent, pick up improvements published by other
@@ -1000,21 +969,8 @@ impl<'c, 'a, P: SearchPolicy> Search<'c, 'a, P> {
         if !self.stop && self.policy.spawn(&self.order, depth + 1, bound) {
             self.stats.splits += 1;
         } else if bound < self.best_nops && !self.stop {
-            // Commit: update readiness and recurse.
             self.log(ProofEvent::Enter { candidate: xi.0 });
-            for e in self.ctx.dag.succs(xi) {
-                self.pending_preds[e.to.index()] -= 1;
-            }
-            if let Some(p) = counted_pipe {
-                self.remaining_per_pipe[p.index()] -= 1;
-            }
             self.dfs(depth + 1);
-            if let Some(p) = counted_pipe {
-                self.remaining_per_pipe[p.index()] += 1;
-            }
-            for e in self.ctx.dag.succs(xi) {
-                self.pending_preds[e.to.index()] += 1;
-            }
         } else if !self.stop {
             self.stats.pruned_bound += 1;
             self.prof(depth, |d| d.pruned_bound += 1);
@@ -1029,41 +985,19 @@ impl<'c, 'a, P: SearchPolicy> Search<'c, 'a, P> {
             });
         }
 
+        self.unplace(xi);
+    }
+
+    /// Push `xi` onto the engine on `pipe` and advance the frontier.
+    fn place(&mut self, xi: TupleId, pipe: Option<PipelineId>) {
+        self.engine.push(xi, pipe);
+        self.frontier.place(self.ctx, &self.engine, xi);
+    }
+
+    /// Undo [`Search::place`] of `xi`, the most recent placement.
+    fn unplace(&mut self, xi: TupleId) {
+        self.frontier.unplace(self.ctx, xi);
         self.engine.pop();
-    }
-
-    /// The pipeline `xi` contributes to in `remaining_per_pipe`, mirroring
-    /// the initialization in `Search::new`.
-    fn counted_pipe(&self, xi: TupleId) -> Option<PipelineId> {
-        if self.cfg.pipeline_selection && self.ctx.allowed[xi.index()].len() > 1 {
-            None
-        } else {
-            self.ctx.sigma(xi)
-        }
-    }
-
-    /// Unscheduled-and-ready instructions, assuming `xi` was just placed.
-    fn ready_after(&self, xi: TupleId) -> Vec<TupleId> {
-        let n = self.ctx.len();
-        let mut out = Vec::new();
-        for i in 0..n {
-            let t = TupleId(i as u32);
-            if t == xi || self.engine.issue_time(t).is_some() {
-                continue;
-            }
-            let pending = self.pending_preds[i]
-                - self
-                    .ctx
-                    .dag
-                    .preds(t)
-                    .iter()
-                    .filter(|e| e.from == xi)
-                    .count() as u32;
-            if pending == 0 {
-                out.push(t);
-            }
-        }
-        out
     }
 }
 
@@ -1094,25 +1028,6 @@ pub(crate) fn structural_classes(ctx: &SchedContext<'_>) -> Vec<u32> {
         classes[i] = *table.entry(key).or_insert(next);
     }
     classes
-}
-
-fn last_issue_of(
-    engine: &TimingEngine<'_, '_>,
-    ctx: &SchedContext<'_>,
-    p: PipelineId,
-) -> Option<i64> {
-    // The engine doesn't expose last_in_pipe directly; reconstruct it from
-    // issue times of placed tuples assigned to p.
-    let mut last = None;
-    for i in 0..ctx.len() {
-        let t = TupleId(i as u32);
-        if engine.assigned_pipeline(t) == Some(p) {
-            if let Some(ti) = engine.issue_time(t) {
-                last = Some(last.map_or(ti, |l: i64| l.max(ti)));
-            }
-        }
-    }
-    last
 }
 
 #[cfg(test)]

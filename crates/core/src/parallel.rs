@@ -82,7 +82,7 @@ use crate::bnb::{
     run_subtree, structural_classes, EquivalenceMode, SearchConfig, SearchOutcome, SearchPolicy,
     SearchStats,
 };
-use crate::bounds::{BoundKind, LowerBound};
+use crate::bounds::{BoundKind, Frontier, LowerBound};
 use crate::context::SchedContext;
 use crate::proof::{Certificate, CertificateHeader, CertificateTrailer, ProofEvent};
 use crate::seed::{seed_incumbent, SearchSeed};
@@ -646,34 +646,28 @@ impl ParallelProof {
 
 /// Root-level placement economics for one candidate: `(μ, bound, chain,
 /// resource)` exactly as the serial kernel's `place_and_recurse` would
-/// record them in a `BoundPrune`.
+/// record them in a `BoundPrune`. `engine` and `frontier` hold the empty
+/// prefix and are returned to it.
 fn root_bound(
     ctx: &SchedContext<'_>,
-    boundary: &BoundaryState,
+    engine: &mut TimingEngine<'_, '_>,
+    frontier: &mut Frontier,
     lower: Option<&LowerBound>,
-    base_remaining: &[u32],
     xi: TupleId,
 ) -> (u32, u32, Option<i64>, Option<i64>) {
-    let mut engine = TimingEngine::with_boundary(ctx, boundary);
     engine.push(xi, ctx.sigma(xi));
+    frontier.place(ctx, engine, xi);
     let mu = engine.total_nops();
-    let Some(lb) = lower else {
-        return (mu, mu, None, None);
-    };
-    let mut remaining = base_remaining.to_vec();
-    if let Some(p) = ctx.sigma(xi) {
-        remaining[p.index()] -= 1;
-    }
-    let ready = (0..ctx.len()).filter_map(|i| {
-        let t = TupleId(i as u32);
-        if t == xi {
-            return None;
+    let out = match lower {
+        Some(lb) => {
+            let (chain, resource, bound) = lb.terms(ctx, engine, frontier);
+            (mu, bound, Some(chain), Some(resource))
         }
-        let pending = ctx.preds[i].len() - ctx.dag.preds(t).iter().filter(|e| e.from == xi).count();
-        (pending == 0).then_some(t)
-    });
-    let (chain, resource, bound) = lb.terms(ctx, &engine, ready, &remaining);
-    (mu, bound, Some(chain), Some(resource))
+        None => (mu, mu, None, None),
+    };
+    frontier.unplace(ctx, xi);
+    engine.pop();
+    out
 }
 
 /// One root-candidate disposition of the phase-2 enumeration.
@@ -830,12 +824,8 @@ pub fn parallel_prove(
     let equiv_class =
         (cfg.equivalence == EquivalenceMode::Structural).then(|| structural_classes(ctx));
     let lower = (cfg.bound == BoundKind::CriticalPath).then(|| LowerBound::new(ctx));
-    let mut base_remaining = vec![0u32; ctx.machine.pipeline_count()];
-    for i in 0..n {
-        if let Some(p) = ctx.sigma[i] {
-            base_remaining[p.index()] += 1;
-        }
-    }
+    let mut root_engine = TimingEngine::with_boundary(ctx, &boundary);
+    let mut root_frontier = Frontier::new(ctx, false);
     let global_lb = cfg.terminate_on_lower_bound.then_some(seed.global_lb);
 
     // Root dispositions in merge order: best subtree first, then the other
@@ -901,8 +891,13 @@ pub fn parallel_prove(
         }
         // Step [6] against the replay incumbent, which is μ* from the
         // second part on (the best subtree's Improve precedes these).
-        let (mu, bound, chain, resource) =
-            root_bound(ctx, &boundary, lower.as_ref(), &base_remaining, xi);
+        let (mu, bound, chain, resource) = root_bound(
+            ctx,
+            &mut root_engine,
+            &mut root_frontier,
+            lower.as_ref(),
+            xi,
+        );
         if bound < mu_star {
             let mut order = initial_order.clone();
             order.swap(0, j);

@@ -5,8 +5,8 @@
 //! the search made: which candidate extensions were placed and explored,
 //! which were pruned, and by exactly what evidence — the concrete
 //! lower-bound derivation for a bound prune ([`ProofEvent::BoundPrune`]
-//! records μ(Φ) plus the chain and resource terms of
-//! [`crate::bounds::LowerBound`]), the witness pair for an equivalence
+//! records μ(Φ) plus the chain and resource terms of the critical-path
+//! bound, see [`crate::bounds`]), the witness pair for an equivalence
 //! prune, and the incumbent chain of complete schedules. Replayed in
 //! order, the events reconstruct the entire case analysis: every schedule
 //! of the block either extends an `Enter`ed prefix (and was searched) or

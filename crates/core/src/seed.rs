@@ -13,7 +13,7 @@
 use pipesched_ir::TupleId;
 
 use crate::bnb::InitialHeuristic;
-use crate::bounds::LowerBound;
+use crate::bounds::{Frontier, LowerBound};
 use crate::context::SchedContext;
 use crate::list_sched::list_schedule;
 use crate::timing::{evaluate_schedule_from, BoundaryState, TimingEngine};
@@ -55,7 +55,6 @@ pub fn seed_incumbent(
     boundary: &BoundaryState,
     pipeline_selection: bool,
 ) -> SearchSeed {
-    let n = ctx.len();
     let order = match initial {
         InitialHeuristic::MaxDistance => list_schedule(ctx.dag, &ctx.analysis),
         InitialHeuristic::SourceOrder => ctx.block.ids().collect(),
@@ -63,30 +62,25 @@ pub fn seed_incumbent(
     };
     let (etas, nops) = evaluate_schedule_from(ctx, boundary, &order);
 
-    let global_lb = {
-        let lb = LowerBound::new(ctx);
-        let engine = TimingEngine::with_boundary(ctx, boundary);
-        let ready = (0..n as u32)
-            .map(TupleId)
-            .filter(|t| ctx.preds[t.index()].is_empty());
-        let mut counts = vec![0u32; ctx.machine.pipeline_count()];
-        for i in 0..n {
-            if pipeline_selection && ctx.allowed[i].len() > 1 {
-                continue;
-            }
-            if let Some(p) = ctx.sigma[i] {
-                counts[p.index()] += 1;
-            }
-        }
-        lb.bound_with_selection(ctx, &engine, ready, &counts, pipeline_selection)
-    };
-
     SearchSeed {
         order,
         etas,
         nops,
-        global_lb,
+        global_lb: block_lower_bound(ctx, boundary, pipeline_selection),
     }
+}
+
+/// The critical-path bound of the empty partial schedule from `boundary`:
+/// an admissible lower bound on μ over every legal schedule of the block.
+pub(crate) fn block_lower_bound(
+    ctx: &SchedContext<'_>,
+    boundary: &BoundaryState,
+    pipeline_selection: bool,
+) -> u32 {
+    let engine = TimingEngine::with_boundary(ctx, boundary);
+    let frontier = Frontier::new(ctx, pipeline_selection);
+    let (_, _, bound) = LowerBound::new(ctx).terms(ctx, &engine, &frontier);
+    bound
 }
 
 #[cfg(test)]

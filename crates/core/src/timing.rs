@@ -33,7 +33,9 @@ use pipesched_machine::PipelineId;
 
 use crate::context::SchedContext;
 
-const NO_ISSUE: i64 = i64::MIN / 2;
+/// Sentinel for "never issued" and "no constraint"; far enough from `i64::MIN`
+/// that adding a delay to it cannot overflow.
+pub(crate) const NO_ISSUE: i64 = i64::MIN / 2;
 
 #[derive(Debug, Clone, Copy)]
 struct Frame {
@@ -151,16 +153,33 @@ impl<'c, 'a> TimingEngine<'c, 'a> {
         self.assignment[t.index()]
     }
 
+    /// Issue cycle of the most recent operation enqueued in pipeline `p`
+    /// (carried-in boundary state included), or `None` if `p` is unused.
+    pub(crate) fn last_issue(&self, p: PipelineId) -> Option<i64> {
+        let v = self.last_in_pipe[p.index()];
+        (v != NO_ISSUE).then_some(v)
+    }
+
+    /// First cycle at which pipeline `p` accepts another operation
+    /// (`NO_ISSUE`, no constraint, when `p` is unused).
+    pub(crate) fn pipe_free(&self, p: PipelineId) -> i64 {
+        self.last_issue(p)
+            .map_or(NO_ISSUE, |last| last + i64::from(self.ctx.enqueue(p)))
+    }
+
     /// Earliest cycle `t` could issue *if pushed now* on `pipe`, without
     /// mutating anything. All of `t`'s predecessors must already be placed.
     pub fn earliest_issue(&self, t: TupleId, pipe: Option<PipelineId>) -> i64 {
-        let mut earliest = self.t_prev + 1;
-        if let Some(p) = pipe {
-            let last = self.last_in_pipe[p.index()];
-            if last != NO_ISSUE {
-                earliest = earliest.max(last + i64::from(self.ctx.enqueue(p)));
-            }
-        }
+        let free = pipe.map_or(NO_ISSUE, |p| self.pipe_free(p));
+        (self.t_prev + 1).max(free).max(self.dependence_head(t))
+    }
+
+    /// The dependence term of [`TimingEngine::earliest_issue`]:
+    /// `max(t(δ) + delay(δ))` over `t`'s predecessors δ (`NO_ISSUE` when
+    /// it has none). It depends only on the placed predecessors, so
+    /// it stays fixed while they do. All of them must already be placed.
+    pub(crate) fn dependence_head(&self, t: TupleId) -> i64 {
+        let mut earliest = NO_ISSUE;
         for dep in &self.ctx.preds[t.index()] {
             let pt = self.issue[dep.from as usize];
             debug_assert!(pt != NO_ISSUE, "predecessor must be placed");

@@ -92,19 +92,39 @@ impl BitSet {
     }
 
     /// Iterate over members in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &word)| {
-            let mut w = word;
-            std::iter::from_fn(move || {
-                if w == 0 {
-                    None
-                } else {
-                    let bit = w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    Some(wi * 64 + bit)
-                }
-            })
-        })
+    pub fn iter(&self) -> Iter<'_> {
+        Iter {
+            words: self.words.iter().enumerate(),
+            base: 0,
+            word: 0,
+        }
+    }
+}
+
+/// Ascending iterator over the members of a [`BitSet`].
+#[derive(Debug, Clone)]
+pub struct Iter<'a> {
+    /// Words not yet loaded, with their indices.
+    words: std::iter::Enumerate<std::slice::Iter<'a, u64>>,
+    /// Value of bit 0 of `word`.
+    base: usize,
+    /// Members of the current word not yet yielded.
+    word: u64,
+}
+
+impl Iterator for Iter<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.word == 0 {
+            let (wi, &word) = self.words.next()?;
+            self.base = wi * 64;
+            self.word = word;
+        }
+        let bit = self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        Some(self.base + bit)
     }
 }
 
