@@ -16,8 +16,8 @@
 //! debug-build spot check, not a production path.
 
 use pipesched_core::{
-    list_schedule, parallel::parallel_search, search, windowed_schedule, ParallelConfig,
-    SchedContext, SearchConfig,
+    branch_and_bound, list_schedule, search, windowed_schedule, ParallelConfig, SchedContext,
+    SearchConfig,
 };
 use pipesched_ir::{BasicBlock, BlockAnalysis, DepDag};
 use pipesched_machine::Machine;
@@ -70,10 +70,12 @@ pub fn cross_check(block: &BasicBlock, machine: &Machine, lambda: u64) -> Report
     report.merge(tagged(win_cert.report, "windowed"));
 
     // Parallel branch-and-bound with a couple of workers.
-    let par = parallel_search(
+    let (par, _) = branch_and_bound(
         &ctx,
         &SearchConfig::with_lambda(lambda),
         &ParallelConfig::with_threads(2),
+        None,
+        false,
     );
     let par_cert = certify_scheduled(block, machine, &to_scheduled(&par));
     report.merge(tagged(par_cert.report, "parallel"));

@@ -13,8 +13,8 @@ use proptest::prelude::*;
 use pipesched_analyze::certify::{certify, Claim};
 use pipesched_analyze::{certify_scheduled, DiagCode};
 use pipesched_core::{
-    list_schedule, parallel::parallel_search, search, windowed_schedule, ParallelConfig,
-    SchedContext, Scheduler, SearchConfig,
+    branch_and_bound, list_schedule, search, windowed_schedule, ParallelConfig, SchedContext,
+    Scheduler, SearchConfig,
 };
 use pipesched_ir::{BasicBlock, BlockAnalysis, BlockBuilder, DepDag, Op, TupleId};
 use pipesched_machine::presets;
@@ -98,10 +98,12 @@ proptest! {
         });
         prop_assert!(cert.is_certified(), "windowed:\n{}", cert.report);
 
-        let par = parallel_search(
+        let (par, _) = branch_and_bound(
             &ctx,
             &SearchConfig::with_lambda(20_000),
             &ParallelConfig::with_threads(2),
+            None,
+            false,
         );
         let cert = certify(&block, machine, Claim {
             order: &par.order,

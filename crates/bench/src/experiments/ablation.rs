@@ -3,13 +3,13 @@
 //! filtering, pipeline selection, and parallel search.
 
 use pipesched_core::baselines::greedy_schedule;
-use pipesched_core::parallel::parallel_search;
 use pipesched_core::{
     search, BoundKind, EquivalenceMode, InitialHeuristic, ParallelConfig, SchedContext,
     SearchConfig,
 };
 use pipesched_ir::DepDag;
 use pipesched_machine::presets;
+use pipesched_solve::{solve, Plan};
 use pipesched_synth::CorpusSpec;
 
 use crate::report::{f, TextTable};
@@ -147,11 +147,12 @@ pub fn run(runs: usize, lambda: u64) -> Vec<AblationRow> {
         let block = corpus.block(k);
         let dag = DepDag::build(&block);
         let ctx = SchedContext::new(&block, &dag, &machine);
-        let out = parallel_search(
-            &ctx,
-            &SearchConfig::with_lambda(lambda),
-            &ParallelConfig::default(),
-        );
+        let plan = Plan {
+            search: SearchConfig::with_lambda(lambda),
+            parallel: ParallelConfig::default(),
+            ..Plan::default()
+        };
+        let out = solve(&ctx, &plan).answer;
         par_nops += f64::from(out.nops);
         par_optimal += usize::from(out.optimal);
     }

@@ -186,8 +186,14 @@ impl ObserveReport {
 fn replay(input: &str, workers: usize) -> (ServiceEngine, u64) {
     let engine = ServiceEngine::new(EngineConfig::default(), 4096, 8);
     let start = Instant::now();
-    run_batch(&engine, input, &ServeConfig { workers }, false, false)
-        .expect("in-memory batch replay cannot fail on IO");
+    run_batch(
+        &engine,
+        input.as_bytes(),
+        &ServeConfig { workers },
+        false,
+        false,
+    )
+    .expect("in-memory batch replay cannot fail on IO");
     (engine, start.elapsed().as_micros() as u64)
 }
 

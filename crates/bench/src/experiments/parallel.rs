@@ -3,7 +3,9 @@
 //! Two questions, one experiment:
 //!
 //! 1. **Does it scale?** The hardest representative block is scheduled by
-//!    the serial kernel and by the pool at 1, 2, 4 and 8 workers; each
+//!    the serial kernel and through the dispatcher at 1 (the serial
+//!    kernel again, so that row measures dispatch overhead), 2, 4 and 8
+//!    workers; each
 //!    row records wall clock, steal/split counters, and the speedup over
 //!    serial. The ≥2× gate at 4 workers only applies when the host
 //!    actually has 4 cores (`std::thread::available_parallelism`) — the
@@ -16,11 +18,11 @@
 
 use std::time::Instant;
 
-use pipesched_core::parallel::{parallel_prove, parallel_search};
 use pipesched_core::{search, ParallelConfig, SchedContext, SearchConfig};
 use pipesched_ir::DepDag;
 use pipesched_json::{json_object, Json};
 use pipesched_machine::presets;
+use pipesched_solve::{solve, Plan, ProofSink};
 use pipesched_synth::CorpusSpec;
 
 use crate::experiments::blocks::block_of_size;
@@ -211,8 +213,12 @@ pub fn run(runs: usize, lambda: u64, curve_size: usize) -> ParallelReport {
     let mut disagreements = 0usize;
     let mut rows = Vec::new();
     for threads in THREADS {
-        let par_cfg = ParallelConfig::with_threads(threads);
-        let (micros, out) = best_of_three(|| parallel_search(&ctx, &cfg, &par_cfg));
+        let plan = Plan {
+            search: cfg,
+            parallel: ParallelConfig::with_threads(threads),
+            ..Plan::default()
+        };
+        let (micros, out) = best_of_three(|| solve(&ctx, &plan).answer);
         if !(out.optimal && out.nops == serial.nops) {
             disagreements += 1;
         }
@@ -237,21 +243,28 @@ pub fn run(runs: usize, lambda: u64, curve_size: usize) -> ParallelReport {
         let ctx = SchedContext::new(&block, &dag, &machine);
         let cfg = SearchConfig::with_lambda(lambda);
         let serial = search(&ctx, &cfg);
-        let par_cfg = ParallelConfig::with_threads(THREADS[k % THREADS.len()]);
-        let par = parallel_search(&ctx, &cfg, &par_cfg);
+        let plan = |proof| Plan {
+            search: cfg,
+            parallel: ParallelConfig::with_threads(THREADS[k % THREADS.len()]),
+            proof,
+            ..Plan::default()
+        };
+        let par = solve(&ctx, &plan(ProofSink::Off)).answer;
         if serial.optimal != par.optimal || (serial.optimal && serial.nops != par.nops) {
             disagreements += 1;
             continue;
         }
         if k % 4 == 0 && serial.optimal {
-            let (proved, proof) = parallel_prove(&ctx, &cfg, &par_cfg);
+            let proved = solve(&ctx, &plan(ProofSink::InMemory));
             certificates_checked += 1;
-            let check = pipesched_proof::check_certificate(&block, &machine, &proof.merge());
-            let certified = matches!(
-                check.verdict,
-                pipesched_proof::ProofVerdict::OptimalCertified { nops }
-                    if proved.optimal && nops == serial.nops
-            );
+            let cert = proved.proof.and_then(|p| p.certificate);
+            let certified = cert.is_some_and(|cert| {
+                matches!(
+                    pipesched_proof::check_certificate(&block, &machine, &cert).verdict,
+                    pipesched_proof::ProofVerdict::OptimalCertified { nops }
+                        if proved.answer.optimal && nops == serial.nops
+                )
+            });
             if !certified {
                 certificates_rejected += 1;
             }

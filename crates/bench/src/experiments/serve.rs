@@ -112,8 +112,14 @@ pub fn workload(requests: usize, shapes: usize) -> String {
 pub fn run(requests: usize, shapes: usize, workers: usize) -> ServeReport {
     let input = workload(requests, shapes);
     let engine = ServiceEngine::new(EngineConfig::default(), 4096, 8);
-    let summary = run_batch(&engine, &input, &ServeConfig { workers }, false, false)
-        .expect("in-memory batch replay cannot fail on IO");
+    let summary = run_batch(
+        &engine,
+        input.as_bytes(),
+        &ServeConfig { workers },
+        false,
+        false,
+    )
+    .expect("in-memory batch replay cannot fail on IO");
 
     let mut hit_micros = Vec::new();
     let mut miss_micros = Vec::new();

@@ -23,7 +23,6 @@ use pipesched_machine::{Machine, PipelineId};
 
 use crate::bnb::{search, SearchConfig, SearchStats};
 use crate::context::SchedContext;
-use crate::parallel::{parallel_search, ParallelConfig};
 
 /// Which exact scheduling backend answers a request.
 ///
@@ -31,8 +30,8 @@ use crate::parallel::{parallel_search, ParallelConfig};
 /// parallel branch-and-bound, windowed); the SAT portfolio lives in
 /// `pipesched-solve`, which depends on this crate. The selector therefore
 /// lives here — the lowest layer every consumer (CLI, service, bench)
-/// already sees — while dispatch happens at call sites that can see both
-/// backends.
+/// already sees — while the one dispatcher, `pipesched_solve::solve`,
+/// lives in the lowest crate that sees both backends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Backend {
     /// The paper's branch-and-bound search (default).
@@ -80,7 +79,6 @@ impl std::fmt::Display for Backend {
 pub struct Scheduler {
     machine: Machine,
     config: SearchConfig,
-    parallel_threads: Option<usize>,
 }
 
 impl Scheduler {
@@ -89,7 +87,6 @@ impl Scheduler {
         Scheduler {
             machine,
             config: SearchConfig::default(),
-            parallel_threads: None,
         }
     }
 
@@ -108,14 +105,6 @@ impl Scheduler {
     /// Set an anytime wall-clock deadline for every schedule call.
     pub fn with_deadline(mut self, deadline: Option<std::time::Instant>) -> Self {
         self.config.deadline = deadline;
-        self
-    }
-
-    /// Use the work-stealing parallel branch-and-bound with `threads`
-    /// workers (0 ⇒ one per CPU). The full search configuration — λ,
-    /// deadline, bound and equivalence ablations — applies unchanged.
-    pub fn parallel(mut self, threads: usize) -> Self {
-        self.parallel_threads = Some(threads);
         self
     }
 
@@ -146,12 +135,7 @@ impl Scheduler {
     /// the DAG, dependence analysis and machine tables are all reused. The
     /// context must target the same machine as this scheduler.
     pub fn schedule_context(&self, ctx: &SchedContext<'_>) -> ScheduledBlock {
-        let outcome = match self.parallel_threads {
-            Some(threads) => {
-                parallel_search(ctx, &self.config, &ParallelConfig::with_threads(threads))
-            }
-            None => search(ctx, &self.config),
-        };
+        let outcome = search(ctx, &self.config);
         ScheduledBlock {
             order: outcome.order,
             assignment: outcome.assignment,
@@ -231,16 +215,6 @@ mod tests {
         assert_eq!(out.etas.len(), 6);
         assert_eq!(out.etas.iter().sum::<u32>(), out.nops);
         assert_eq!(out.total_cycles(), 6 + u64::from(out.nops));
-    }
-
-    #[test]
-    fn parallel_facade_agrees_with_serial() {
-        let block = demo_block();
-        let serial = Scheduler::new(presets::paper_simulation()).schedule(&block);
-        let par = Scheduler::new(presets::paper_simulation())
-            .parallel(2)
-            .schedule(&block);
-        assert_eq!(serial.nops, par.nops);
     }
 
     #[test]

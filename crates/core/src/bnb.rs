@@ -59,6 +59,7 @@ use pipesched_machine::PipelineId;
 pub use crate::bounds::BoundKind;
 use crate::bounds::{Frontier, LowerBound};
 use crate::context::SchedContext;
+use crate::parallel::{parallel_prove, parallel_search, ParallelConfig};
 use crate::profile::{DepthStats, SearchProfile};
 use crate::proof::{
     trailer_for, Certificate, CertificateHeader, ProofEvent, ProofLogger, ProofOutput,
@@ -262,7 +263,7 @@ pub fn search(ctx: &SchedContext<'_>, cfg: &SearchConfig) -> SearchOutcome {
 /// [`search`] starting from a carried block boundary (footnote 1): the
 /// pipelines begin with the in-flight state a predecessor block left
 /// behind, so cross-block conflicts are priced into every η.
-pub fn search_with_boundary(
+pub(crate) fn search_with_boundary(
     ctx: &SchedContext<'_>,
     cfg: &SearchConfig,
     boundary: &BoundaryState,
@@ -270,22 +271,9 @@ pub fn search_with_boundary(
     search_impl(ctx, cfg, boundary, NullPolicy)
 }
 
-/// [`search`] while filling `profile` with a per-depth breakdown of the
-/// run: nodes, Ω calls, prune counts by rule, and inclusive wall time per
-/// depth (see [`crate::profile`]). The profile never changes the search
-/// result — only plain `search` plus observation.
-pub fn search_with_profile(
-    ctx: &SchedContext<'_>,
-    cfg: &SearchConfig,
-    profile: &mut SearchProfile,
-) -> SearchOutcome {
-    let boundary = BoundaryState::cold(ctx.machine.pipeline_count());
-    search_impl(ctx, cfg, &boundary, ProfilePolicy(profile))
-}
-
 /// Run the search while recording a machine-checkable optimality
 /// certificate into `logger` (see [`crate::proof`]). Returns the outcome
-/// together with what the logger produced — the [`Certificate`] itself for
+/// together with what the logger produced — the certificate itself for
 /// in-memory loggers, or the digest/event count for streamed ones.
 ///
 /// Proof logging implies a cold block boundary (a certificate is a claim
@@ -304,32 +292,98 @@ pub fn search_with_proof(
         !cfg.pipeline_selection,
         "proof logging does not support the pipeline-selection extension"
     );
-    let boundary = BoundaryState::cold(ctx.machine.pipeline_count());
-    let outcome = search_impl(ctx, cfg, &boundary, ProofPolicy(&mut logger));
+    let outcome = serial::<true, false>(ctx, cfg, Some(&mut logger), &mut SearchProfile::new());
     let proof = logger.finish(trailer_for(&outcome));
     (outcome, proof)
 }
 
-/// [`search_with_proof`] with an in-memory logger: returns the certificate
-/// directly.
+/// What a [`branch_and_bound`] run recorded beside its answer.
+#[derive(Debug, Default)]
+pub struct Observed {
+    /// The proof logger's output, when a logger was passed.
+    pub proof: Option<ProofOutput>,
+    /// Pool proofs only: the transcript split at the root dispositions, in
+    /// certificate order (see [`crate::parallel`]); the tamper tests drop
+    /// parts to show the checker rejects.
+    pub parts: Vec<Vec<ProofEvent>>,
+    /// The per-depth profile, when one was asked for. Its depth nodes sum
+    /// to the outcome's `nodes_visited` (across workers in a pool run).
+    pub profile: Option<SearchProfile>,
+}
+
+/// The general branch-and-bound entry: the serial kernel when
+/// `par.threads == 1` (also for blocks of at most one tuple, and under
+/// pipeline selection, whose per-unit symmetry state the pool's task
+/// snapshots do not carry), the work-stealing pool otherwise. `proof`
+/// records a certificate (a pool run replays its merged transcript into
+/// the logger, so any sink works at any thread count) and `profile` a
+/// per-depth profile. Neither observation changes the search.
 ///
 /// # Panics
 ///
-/// Panics if `cfg.pipeline_selection` is set.
-pub fn prove(ctx: &SchedContext<'_>, cfg: &SearchConfig) -> (SearchOutcome, Certificate) {
-    let (outcome, proof) = search_with_proof(ctx, cfg, ProofLogger::in_memory());
-    let cert = proof
-        .certificate
-        .expect("in-memory proof logger always yields a certificate");
-    (outcome, cert)
+/// Panics if a proof logger is passed with `cfg.pipeline_selection` set.
+pub fn branch_and_bound(
+    ctx: &SchedContext<'_>,
+    cfg: &SearchConfig,
+    par: &ParallelConfig,
+    proof: Option<ProofLogger>,
+    profile: bool,
+) -> (SearchOutcome, Observed) {
+    assert!(
+        proof.is_none() || !cfg.pipeline_selection,
+        "proof logging does not support the pipeline-selection extension"
+    );
+    let mut seen = Observed::default();
+    let mut depths = SearchProfile::new();
+    let outcome = if par.threads == 1 || ctx.len() <= 1 || cfg.pipeline_selection {
+        let mut logger = proof;
+        let out = match (logger.as_mut(), profile) {
+            (None, false) => search(ctx, cfg),
+            (Some(l), false) => serial::<true, false>(ctx, cfg, Some(l), &mut depths),
+            (None, true) => serial::<false, true>(ctx, cfg, None, &mut depths),
+            (Some(l), true) => serial::<true, true>(ctx, cfg, Some(l), &mut depths),
+        };
+        seen.proof = logger.map(|l| l.finish(trailer_for(&out)));
+        out
+    } else if let Some(logger) = proof {
+        let (out, pool_proof) = if profile {
+            parallel_prove::<true>(ctx, cfg, par, &mut depths)
+        } else {
+            parallel_prove::<false>(ctx, cfg, par, &mut depths)
+        };
+        seen.proof = Some(logger.replay(Certificate {
+            header: pool_proof.header,
+            events: pool_proof.parts.concat(),
+            trailer: pool_proof.trailer,
+        }));
+        seen.parts = pool_proof.parts;
+        out
+    } else if profile {
+        parallel_search::<true>(ctx, cfg, par, &mut depths)
+    } else {
+        parallel_search::<false>(ctx, cfg, par, &mut depths)
+    };
+    seen.profile = profile.then_some(depths);
+    (outcome, seen)
+}
+
+/// One serial kernel run from a cold boundary under an [`Observe`] policy.
+fn serial<const LOG: bool, const PROF: bool>(
+    ctx: &SchedContext<'_>,
+    cfg: &SearchConfig,
+    logger: Option<&mut ProofLogger>,
+    profile: &mut SearchProfile,
+) -> SearchOutcome {
+    let boundary = BoundaryState::cold(ctx.machine.pipeline_count());
+    search_impl(ctx, cfg, &boundary, Observe::<LOG, PROF>(logger, profile))
 }
 
 /// Compile-time hook bundle the unified kernel is generic over.
 ///
-/// One branch-and-bound implementation serves every entry point: the plain
-/// [`search`], the certificate-logged [`search_with_proof`], the per-depth
-/// profiled [`search_with_profile`], and the work-stealing parallel workers
-/// in [`crate::parallel`]. Each variant supplies a policy; hooks a policy
+/// One branch-and-bound implementation serves every run: the plain
+/// [`search`], the proof-logged and profiled serial runs of
+/// [`branch_and_bound`], and the work-stealing parallel workers in
+/// [`crate::parallel`]. Each variant supplies a policy; hooks a policy
 /// leaves at their defaults monomorphize to nothing, so [`NullPolicy`]
 /// compiles to exactly the pre-unification plain search.
 ///
@@ -347,7 +401,7 @@ pub fn prove(ctx: &SchedContext<'_>, cfg: &SearchConfig) -> (SearchOutcome, Cert
 ///   a local termination cause outward.
 /// * **work distribution** — [`spawn`](Self::spawn) may take ownership of a
 ///   just-bounded subtree and defer it to a work-stealing deque.
-pub trait SearchPolicy {
+pub(crate) trait SearchPolicy {
     /// True when the policy records a proof transcript; the kernel then
     /// captures the bound's chain/resource terms for every placement.
     const PROOF: bool = false;
@@ -472,36 +526,38 @@ impl<P: SearchPolicy> SearchPolicy for &mut P {
 /// The no-op policy: plain serial search, bit-identical to the historical
 /// un-hooked implementation.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NullPolicy;
+pub(crate) struct NullPolicy;
 
 impl SearchPolicy for NullPolicy {}
 
-/// Certificate-logging policy wrapping a [`ProofLogger`].
-pub struct ProofPolicy<'p>(pub &'p mut ProofLogger);
+/// Observation policy: logs the proof transcript into the logger when
+/// `LOG`, bumps the per-depth profile when `PROF`.
+struct Observe<'p, const LOG: bool, const PROF: bool>(
+    Option<&'p mut ProofLogger>,
+    &'p mut SearchProfile,
+);
 
-impl SearchPolicy for ProofPolicy<'_> {
-    const PROOF: bool = true;
+impl<const LOG: bool, const PROF: bool> SearchPolicy for Observe<'_, LOG, PROF> {
+    const PROOF: bool = LOG;
+    const PROFILE: bool = PROF;
 
     #[inline]
     fn begin(&mut self, header: CertificateHeader) {
-        self.0.begin(header);
+        if let Some(logger) = &mut self.0 {
+            logger.begin(header);
+        }
     }
 
     #[inline]
     fn log(&mut self, ev: ProofEvent) {
-        self.0.log(ev);
+        if let Some(logger) = &mut self.0 {
+            logger.log(ev);
+        }
     }
-}
-
-/// Per-depth profiling policy wrapping a [`SearchProfile`].
-pub struct ProfilePolicy<'p>(pub &'p mut SearchProfile);
-
-impl SearchPolicy for ProfilePolicy<'_> {
-    const PROFILE: bool = true;
 
     #[inline]
     fn prof(&mut self, depth: usize, bump: impl FnOnce(&mut DepthStats)) {
-        bump(self.0.at(depth));
+        bump(self.1.at(depth));
     }
 }
 
@@ -1328,8 +1384,9 @@ mod tests {
         };
 
         let plain = search(&ctx, &cfg);
-        let mut profile = SearchProfile::new();
-        let out = search_with_profile(&ctx, &cfg, &mut profile);
+        let (out, seen) =
+            branch_and_bound(&ctx, &cfg, &ParallelConfig::with_threads(1), None, true);
+        let profile = seen.profile.unwrap();
 
         // Profiling must be pure observation.
         assert_eq!(out.nops, plain.nops);
@@ -1367,8 +1424,10 @@ mod tests {
         let dag = DepDag::build(&block);
         let machine = presets::paper_simulation();
         let ctx = ctx_for(&block, &dag, &machine);
-        let mut profile = SearchProfile::new();
-        let out = search_with_profile(&ctx, &SearchConfig::default(), &mut profile);
+        let cfg = SearchConfig::default();
+        let (out, seen) =
+            branch_and_bound(&ctx, &cfg, &ParallelConfig::with_threads(1), None, true);
+        let profile = seen.profile.unwrap();
         assert!(out.optimal);
         assert_eq!(profile.total_nodes(), out.stats.nodes_visited);
         assert_eq!(profile.total_nodes(), 0);

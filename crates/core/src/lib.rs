@@ -21,7 +21,9 @@
 //! * [`baselines`] — exhaustive search, legality-only-pruned search, and a
 //!   Gross-style greedy scheduler, used by the paper's Table 1 comparison;
 //! * [`parallel`] — a parallel branch-and-bound variant (extension) sharing
-//!   an atomic incumbent across threads;
+//!   an atomic incumbent across threads, reached through
+//!   [`branch_and_bound`](bnb::branch_and_bound), the one general entry
+//!   (serial or pooled, optionally proof-logged and profiled);
 //! * [`profile`] — per-depth search profiling (nodes, prune counts, time),
 //!   attached through an `Option`-gated hook like the proof logger;
 //! * [`windowed`] — §5.3's future-work feature: locally-optimal scheduling
@@ -51,13 +53,13 @@ pub mod windowed;
 
 pub use api::{Backend, ScheduledBlock, Scheduler};
 pub use bnb::{
-    prove, search, search_with_boundary, search_with_profile, search_with_proof, BoundKind,
-    EquivalenceMode, InitialHeuristic, SearchConfig, SearchOutcome, SearchStats,
+    branch_and_bound, search, search_with_proof, BoundKind, EquivalenceMode, InitialHeuristic,
+    Observed, SearchConfig, SearchOutcome, SearchStats,
 };
 pub use bounds::global_lower_bound;
 pub use context::SchedContext;
 pub use list_sched::list_schedule;
-pub use parallel::{parallel_prove, parallel_search, ParallelConfig, ParallelProof};
+pub use parallel::ParallelConfig;
 pub use profile::{DepthStats, SearchProfile};
 pub use proof::{
     trailer_for, Certificate, CertificateHeader, CertificateTrailer, ProofEvent, ProofLogger,

@@ -30,9 +30,15 @@
 //!   `pipeline_selection`, whose per-unit symmetry state is not carried
 //!   by task snapshots: those searches delegate to the serial kernel.
 //!
+//! Callers reach this module through [`crate::bnb::branch_and_bound`]
+//! (or the `pipesched-solve` dispatcher above it); a profile asked for
+//! there is collected per worker here and summed, so its depth nodes add
+//! up to the pool's `nodes_visited` (its inclusive times are per task and
+//! do not nest across workers).
+//!
 //! # Parallel proofs
 //!
-//! [`parallel_prove`] produces a machine-checkable certificate (see
+//! `parallel_prove` produces a machine-checkable certificate (see
 //! [`crate::proof`]) from a parallel run in two phases. Phase 1 is the
 //! plain work-stealing search above: it finds the optimal μ\* and a best
 //! order. Phase 2 re-derives the *transcript* with perfect foresight: the
@@ -45,8 +51,8 @@
 //! incumbent is μ\* from the second part on, every recorded bound prune
 //! is justified, and the independent checker
 //! (`pipesched_proof::check_certificate`) accepts the concatenation
-//! unchanged. The per-subtree transcripts are exposed on
-//! [`ParallelProof`] so tests can verify that tampering with (e.g.
+//! unchanged. The per-subtree transcripts are exposed (as
+//! `Observed::parts`) so tests can verify that tampering with (e.g.
 //! dropping) any part is caught by the checker's coverage rules.
 //!
 //! The λ budget is shared across both phases: certification is search
@@ -84,7 +90,8 @@ use crate::bnb::{
 };
 use crate::bounds::{BoundKind, Frontier, LowerBound};
 use crate::context::SchedContext;
-use crate::proof::{Certificate, CertificateHeader, CertificateTrailer, ProofEvent};
+use crate::profile::{DepthStats, SearchProfile};
+use crate::proof::{CertificateHeader, CertificateTrailer, ProofEvent};
 use crate::seed::{seed_incumbent, SearchSeed};
 use crate::timing::{evaluate_schedule, BoundaryState, TimingEngine};
 
@@ -214,17 +221,26 @@ impl Shared {
     }
 }
 
-/// The phase-1 worker policy: shared budget/bounds plus subtree spawning.
-struct PoolPolicy<'s> {
+/// The phase-1 worker policy: shared budget/bounds plus subtree spawning
+/// (and this worker's share of the profile when `PROF`).
+struct PoolPolicy<'s, const PROF: bool> {
     shared: &'s Shared,
     split_depth: usize,
     /// Tasks spawned while running the current node, in enumeration
     /// order; flushed (reversed) onto the worker's deque afterwards so
     /// LIFO pops preserve the serial DFS order.
     spawned: Vec<Task>,
+    profile: SearchProfile,
 }
 
-impl SearchPolicy for PoolPolicy<'_> {
+impl<const PROF: bool> SearchPolicy for PoolPolicy<'_, PROF> {
+    const PROFILE: bool = PROF;
+
+    #[inline]
+    fn prof(&mut self, depth: usize, bump: impl FnOnce(&mut DepthStats)) {
+        bump(self.profile.at(depth));
+    }
+
     #[inline]
     fn charge_omega(&mut self) -> bool {
         self.shared.charge_omega()
@@ -284,13 +300,33 @@ impl SearchPolicy for PoolPolicy<'_> {
 
 /// The phase-2 worker policy: serial kernel semantics (no shared
 /// incumbent) plus transcript capture and the shared λ/stop plumbing.
-struct ProvePolicy<'s> {
+struct ProvePolicy<'s, const PROF: bool> {
     shared: &'s Shared,
     events: Vec<ProofEvent>,
+    profile: SearchProfile,
 }
 
-impl SearchPolicy for ProvePolicy<'_> {
+impl<'s, const PROF: bool> ProvePolicy<'s, PROF> {
+    /// A policy for the subtree entered at `candidate`.
+    fn entering(shared: &'s Shared, candidate: TupleId) -> Self {
+        ProvePolicy {
+            shared,
+            events: vec![ProofEvent::Enter {
+                candidate: candidate.0,
+            }],
+            profile: SearchProfile::new(),
+        }
+    }
+}
+
+impl<const PROF: bool> SearchPolicy for ProvePolicy<'_, PROF> {
     const PROOF: bool = true;
+    const PROFILE: bool = PROF;
+
+    #[inline]
+    fn prof(&mut self, depth: usize, bump: impl FnOnce(&mut DepthStats)) {
+        bump(self.profile.at(depth));
+    }
 
     #[inline]
     fn log(&mut self, ev: ProofEvent) {
@@ -352,7 +388,7 @@ fn steal_task(stealers: &[Stealer<Task>], me: usize, stats: &mut SearchStats) ->
 }
 
 #[allow(clippy::too_many_arguments)]
-fn worker_loop(
+fn worker_loop<const PROF: bool>(
     ctx: &SchedContext<'_>,
     cfg: &SearchConfig,
     boundary: &BoundaryState,
@@ -361,12 +397,13 @@ fn worker_loop(
     own: &Deque<Task>,
     stealers: &[Stealer<Task>],
     me: usize,
-) -> SearchStats {
+) -> (SearchStats, SearchProfile) {
     let mut stats = SearchStats::default();
-    let mut policy = PoolPolicy {
+    let mut policy = PoolPolicy::<PROF> {
         shared,
         split_depth,
         spawned: Vec::new(),
+        profile: SearchProfile::new(),
     };
     loop {
         // Acquire pairs with the Release in `note_stop`: a worker that
@@ -417,6 +454,9 @@ fn worker_loop(
             }
         } else {
             stats.pruned_bound += 1;
+            if PROF {
+                policy.profile.at(task.depth).pruned_bound += 1;
+            }
         }
         // AcqRel: the Release half publishes this task's deque pushes to
         // whichever worker's Acquire read of `pending` observes the count;
@@ -425,7 +465,7 @@ fn worker_loop(
         // Explored by the merge harness in crates/check.
         shared.pending.fetch_sub(1, Ordering::AcqRel);
     }
-    stats
+    (stats, policy.profile)
 }
 
 /// Result of the phase-1 pool run.
@@ -433,12 +473,13 @@ struct PoolOutcome {
     best_order: Vec<TupleId>,
     best_nops: u32,
     stats: SearchStats,
+    profile: SearchProfile,
     proved: bool,
     omega_used: u64,
 }
 
 /// Run the work-stealing pool over the whole tree (the root as one task).
-fn pool_phase(
+fn pool_phase<const PROF: bool>(
     ctx: &SchedContext<'_>,
     cfg: &SearchConfig,
     par: &ParallelConfig,
@@ -463,7 +504,7 @@ fn pool_phase(
         bound: 0,
     });
 
-    let stats_acc = Mutex::new(SearchStats::default());
+    let stats_acc = Mutex::new((SearchStats::default(), SearchProfile::new()));
     crossbeam::scope(|scope| {
         for (i, dq) in deques.iter().enumerate() {
             let stealers = &stealers;
@@ -471,7 +512,7 @@ fn pool_phase(
             let stats_acc = &stats_acc;
             let worker_cfg = &worker_cfg;
             scope.spawn(move |_| {
-                let st = worker_loop(
+                let (st, profile) = worker_loop::<PROF>(
                     ctx,
                     worker_cfg,
                     boundary,
@@ -481,13 +522,15 @@ fn pool_phase(
                     stealers,
                     i,
                 );
-                merge(&mut stats_acc.lock(), &st);
+                let mut acc = stats_acc.lock();
+                merge(&mut acc.0, &st);
+                acc.1.absorb(&profile);
             });
         }
     })
     .expect("parallel search worker panicked");
 
-    let mut stats = *stats_acc.lock();
+    let (mut stats, profile) = stats_acc.into_inner();
     // relaxed-ok (all four loads): the scope join above happens-before
     // these reads, so every worker's final stores are already visible.
     let proved = shared.proved.load(Ordering::Relaxed);
@@ -500,13 +543,14 @@ fn pool_phase(
         best_order,
         best_nops,
         stats,
+        profile,
         proved,
         omega_used,
     }
 }
 
-/// Shared pre-search triage on the seed schedule. [`parallel_search`]
-/// and [`parallel_prove`] early-out identically when the list schedule
+/// Shared pre-search triage on the seed schedule. `parallel_search`
+/// and `parallel_prove` early-out identically when the list schedule
 /// already settles the instance; only the certificate plumbing differs.
 enum SeedVerdict {
     /// The seed meets the whole-block lower bound: optimal, proved.
@@ -563,29 +607,23 @@ fn seed_outcome(
     }
 }
 
-/// Run the branch-and-bound search with a work-stealing worker pool.
+/// Run the branch-and-bound search with a work-stealing worker pool,
+/// summing the workers' profiles into `profile` when `PROF`.
 ///
 /// Honors the full [`SearchConfig`] — bound kind, equivalence rule, quick
 /// check, λ budget (shared pool-wide) and deadline — and returns the same
 /// optimal NOP count as the serial [`crate::bnb::search`]. The *schedule*
 /// returned may be a different optimum when several exist, because
-/// workers race to improve the incumbent. `cfg.pipeline_selection`
-/// delegates to the serial kernel (the task snapshots do not carry the
-/// per-unit symmetry state).
-pub fn parallel_search(
+/// workers race to improve the incumbent. `cfg.pipeline_selection` runs
+/// serially (see [`crate::bnb::branch_and_bound`]).
+pub(crate) fn parallel_search<const PROF: bool>(
     ctx: &SchedContext<'_>,
     cfg: &SearchConfig,
     par: &ParallelConfig,
+    profile: &mut SearchProfile,
 ) -> SearchOutcome {
-    if cfg.pipeline_selection {
-        return crate::bnb::search(ctx, cfg);
-    }
     let boundary = BoundaryState::cold(ctx.machine.pipeline_count());
     let seed = seed_incumbent(ctx, cfg.initial, &boundary, false);
-    let n = ctx.len();
-    if n <= 1 {
-        return seed_outcome(ctx, seed, true, SearchStats::default());
-    }
     match assess_seed(cfg, &seed) {
         SeedVerdict::Proved => return seed_outcome(ctx, seed, true, proved_stats()),
         SeedVerdict::DeadlineExpired => {
@@ -595,10 +633,11 @@ pub fn parallel_search(
         SeedVerdict::Search => {}
     }
 
-    let pool = pool_phase(ctx, cfg, par, &boundary, &seed);
+    let pool = pool_phase::<PROF>(ctx, cfg, par, &boundary, &seed);
     let (etas, check) = evaluate_schedule(ctx, &pool.best_order);
     debug_assert_eq!(check, pool.best_nops);
 
+    *profile = pool.profile;
     SearchOutcome {
         order: pool.best_order,
         assignment: ctx.sigma.clone(),
@@ -623,25 +662,13 @@ pub fn parallel_search(
 /// the checker's coverage replay, which is exactly what the tamper tests
 /// assert.
 #[derive(Debug, Clone)]
-pub struct ParallelProof {
+pub(crate) struct ParallelProof {
     /// Certificate header (identity + configuration of the run).
     pub header: CertificateHeader,
     /// Per-disposition event slices in merge order (see type docs).
     pub parts: Vec<Vec<ProofEvent>>,
     /// The final claim.
     pub trailer: CertificateTrailer,
-}
-
-impl ParallelProof {
-    /// Concatenate the parts into the single certificate the independent
-    /// checker replays.
-    pub fn merge(&self) -> Certificate {
-        Certificate {
-            header: self.header.clone(),
-            events: self.parts.concat(),
-            trailer: self.trailer.clone(),
-        }
-    }
 }
 
 /// Root-level placement economics for one candidate: `(μ, bound, chain,
@@ -687,20 +714,22 @@ enum RootDisp {
     },
 }
 
-/// [`parallel_search`] while producing a machine-checkable optimality
+/// `parallel_search` while producing a machine-checkable optimality
 /// certificate from per-subtree transcripts (see the module docs for the
-/// two-phase construction). The merged certificate is accepted by
+/// two-phase construction). The concatenated parts are accepted by
 /// `pipesched_proof::check_certificate` unchanged whenever the run
-/// completes within λ/deadline.
+/// completes within λ/deadline. The profile (when `PROF`) covers both
+/// phases.
 ///
 /// # Panics
 ///
 /// Panics if `cfg.pipeline_selection` is set (as for the serial
 /// [`crate::bnb::search_with_proof`]).
-pub fn parallel_prove(
+pub(crate) fn parallel_prove<const PROF: bool>(
     ctx: &SchedContext<'_>,
     cfg: &SearchConfig,
     par: &ParallelConfig,
+    profile: &mut SearchProfile,
 ) -> (SearchOutcome, ParallelProof) {
     assert!(
         !cfg.pipeline_selection,
@@ -708,35 +737,6 @@ pub fn parallel_prove(
     );
     let n = ctx.len();
     let boundary = BoundaryState::cold(ctx.machine.pipeline_count());
-    if n == 0 {
-        let outcome = SearchOutcome {
-            order: Vec::new(),
-            assignment: Vec::new(),
-            etas: Vec::new(),
-            nops: 0,
-            initial_order: Vec::new(),
-            initial_nops: 0,
-            optimal: true,
-            stats: SearchStats::default(),
-        };
-        let proof = ParallelProof {
-            header: CertificateHeader {
-                n: 0,
-                bound: cfg.bound,
-                equivalence: cfg.equivalence,
-                initial_order: Vec::new(),
-                initial_nops: 0,
-            },
-            parts: Vec::new(),
-            trailer: CertificateTrailer {
-                order: Vec::new(),
-                nops: 0,
-                complete: true,
-            },
-        };
-        return (outcome, proof);
-    }
-
     let seed = seed_incumbent(ctx, cfg.initial, &boundary, false);
     let header = CertificateHeader {
         n: n as u32,
@@ -781,7 +781,7 @@ pub fn parallel_prove(
     }
 
     // ---- Phase 1: find μ* with the work-stealing pool. ----
-    let pool = pool_phase(ctx, cfg, par, &boundary, &seed);
+    let pool = pool_phase::<PROF>(ctx, cfg, par, &boundary, &seed);
     let initial_order = seed.order.clone();
     let initial_nops = seed.nops;
 
@@ -809,6 +809,7 @@ pub fn parallel_prove(
             parts: Vec::new(),
             trailer,
         };
+        *profile = pool.profile;
         return (outcome, proof);
     }
 
@@ -931,6 +932,7 @@ pub fn parallel_prove(
     };
 
     let mut phase2_stats = SearchStats::default();
+    *profile = pool.profile;
     let mut parts: Vec<Vec<ProofEvent>> = Vec::with_capacity(disps.len() + 1);
 
     // The best subtree runs first (serially): if it proves optimality by
@@ -946,12 +948,7 @@ pub fn parallel_prove(
         else {
             unreachable!("part 0 is always the best subtree")
         };
-        let mut policy = ProvePolicy {
-            shared: &shared2,
-            events: vec![ProofEvent::Enter {
-                candidate: candidate.0,
-            }],
-        };
+        let mut policy = ProvePolicy::<PROF>::entering(&shared2, *candidate);
         let st = run_subtree(
             ctx,
             &worker_cfg,
@@ -963,6 +960,7 @@ pub fn parallel_prove(
             &mut policy,
         );
         merge(&mut phase2_stats, &st);
+        profile.absorb(&policy.profile);
         proved_in_part0 = st.proved_by_bound;
         parts.push(policy.events);
     }
@@ -971,7 +969,7 @@ pub fn parallel_prove(
     // thread is running yet.
     if !proved_in_part0 && !shared2.stop.load(Ordering::Relaxed) {
         // Every other disposition, in parallel across entered subtrees.
-        type SubtreeSlot = Mutex<Option<(Vec<ProofEvent>, SearchStats)>>;
+        type SubtreeSlot = Mutex<Option<(Vec<ProofEvent>, SearchStats, SearchProfile)>>;
         let results: Vec<SubtreeSlot> = (0..disps.len()).map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(1);
         let threads = par.resolved_threads().max(1).min(disps.len().max(1));
@@ -993,19 +991,16 @@ pub fn parallel_prove(
                         break;
                     }
                     let part = match &disps[i] {
-                        RootDisp::Prune(ev) => (vec![*ev], SearchStats::default()),
+                        RootDisp::Prune(ev) => {
+                            (vec![*ev], SearchStats::default(), SearchProfile::new())
+                        }
                         RootDisp::Enter {
                             candidate,
                             order,
                             seed_nops,
                             global_lb,
                         } => {
-                            let mut policy = ProvePolicy {
-                                shared: shared2,
-                                events: vec![ProofEvent::Enter {
-                                    candidate: candidate.0,
-                                }],
-                            };
+                            let mut policy = ProvePolicy::<PROF>::entering(shared2, *candidate);
                             let st = run_subtree(
                                 ctx,
                                 worker_cfg,
@@ -1016,7 +1011,7 @@ pub fn parallel_prove(
                                 *global_lb,
                                 &mut policy,
                             );
-                            (policy.events, st)
+                            (policy.events, st, policy.profile)
                         }
                     };
                     *results[i].lock() = Some(part);
@@ -1025,8 +1020,10 @@ pub fn parallel_prove(
         })
         .expect("parallel prove worker panicked");
         for slot in results.into_iter().skip(1) {
-            let (events, st) = slot.into_inner().expect("every disposition was processed");
+            let (events, st, part_profile) =
+                slot.into_inner().expect("every disposition was processed");
             merge(&mut phase2_stats, &st);
+            profile.absorb(&part_profile);
             parts.push(events);
         }
         parts.push(vec![ProofEvent::Leave]);
@@ -1080,6 +1077,14 @@ mod tests {
     use crate::bnb::{search, SearchConfig};
     use pipesched_ir::{analysis::verify_schedule, BlockBuilder, DepDag};
     use pipesched_machine::presets;
+
+    fn parallel_search(
+        ctx: &SchedContext<'_>,
+        cfg: &SearchConfig,
+        par: &ParallelConfig,
+    ) -> SearchOutcome {
+        super::parallel_search::<false>(ctx, cfg, par, &mut SearchProfile::new())
+    }
 
     fn sample_block(chains: usize) -> pipesched_ir::BasicBlock {
         let mut b = BlockBuilder::new("par");
@@ -1269,7 +1274,8 @@ mod tests {
             terminate_on_lower_bound: false,
             ..SearchConfig::default()
         };
-        let (out, proof) = parallel_prove(&ctx, &cfg, &ParallelConfig::with_threads(2));
+        let par = ParallelConfig::with_threads(2);
+        let (out, proof) = parallel_prove::<false>(&ctx, &cfg, &par, &mut SearchProfile::new());
         assert!(out.optimal);
         let serial = search(&ctx, &cfg);
         assert_eq!(out.nops, serial.nops);
@@ -1290,10 +1296,40 @@ mod tests {
         // The trailer claims exactly the returned schedule.
         assert_eq!(proof.trailer.nops, out.nops);
         assert!(proof.trailer.complete);
-        let merged = proof.merge();
-        assert_eq!(
-            merged.events.len(),
-            proof.parts.iter().map(Vec::len).sum::<usize>()
-        );
+    }
+
+    /// The pool's threads=1 counter-exactness contract survives maximal
+    /// splitting (every placement its own task):
+    /// with LIFO pops the task order is the serial DFS order, so node and Ω
+    /// counters match the serial kernel bit for bit.
+    #[test]
+    fn forced_steal_single_thread_is_counter_exact() {
+        for seed in [3u64, 17] {
+            let block = pipesched_synth::generate_block(&pipesched_synth::GeneratorConfig::new(
+                6, 3, 2, seed,
+            ));
+            let dag = pipesched_ir::DepDag::build(&block);
+            let machine = presets::paper_simulation();
+            let ctx = SchedContext::new(&block, &dag, &machine);
+
+            let serial = search(&ctx, &SearchConfig::with_lambda(u64::MAX));
+            let par = parallel_search(
+                &ctx,
+                &SearchConfig::with_lambda(u64::MAX),
+                &ParallelConfig {
+                    threads: 1,
+                    split_depth: ctx.len(),
+                },
+            );
+            assert_eq!(par.nops, serial.nops);
+            assert_eq!(
+                par.stats.omega_calls, serial.stats.omega_calls,
+                "Ω counter drift at threads=1 on\n{block}"
+            );
+            assert_eq!(
+                par.stats.nodes_visited, serial.stats.nodes_visited,
+                "node counter drift at threads=1 on\n{block}"
+            );
+        }
     }
 }

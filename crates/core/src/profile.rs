@@ -56,6 +56,20 @@ impl SearchProfile {
         &mut self.depths[depth]
     }
 
+    /// Add `other`'s counters depth by depth (one pool worker's share).
+    pub(crate) fn absorb(&mut self, other: &SearchProfile) {
+        for (depth, d) in other.depths.iter().enumerate() {
+            let into = self.at(depth);
+            into.nodes += d.nodes;
+            into.omega_calls += d.omega_calls;
+            into.pruned_quick += d.pruned_quick;
+            into.pruned_legality += d.pruned_legality;
+            into.pruned_equivalence += d.pruned_equivalence;
+            into.pruned_bound += d.pruned_bound;
+            into.time_ns += d.time_ns;
+        }
+    }
+
     /// Total nodes across depths; equals the run's
     /// [`crate::SearchStats::nodes_visited`].
     pub fn total_nodes(&self) -> u64 {

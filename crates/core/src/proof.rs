@@ -518,6 +518,17 @@ impl ProofLogger {
         }
     }
 
+    /// Record a finished transcript (header, events, trailer) — how a
+    /// certificate assembled after the fact, such as a merged pool proof
+    /// or a by-bound shortcut, reaches an in-memory or streamed sink.
+    pub fn replay(mut self, cert: Certificate) -> ProofOutput {
+        self.begin(cert.header);
+        for ev in cert.events {
+            self.log(ev);
+        }
+        self.finish(cert.trailer)
+    }
+
     /// Close the transcript with `trailer` and return what was recorded.
     pub fn finish(mut self, trailer: CertificateTrailer) -> ProofOutput {
         let line = trailer_line(&trailer);

@@ -9,9 +9,19 @@
 use proptest::prelude::*;
 
 use pipesched_core::baselines::enumerate_legal;
-use pipesched_core::{search, BoundKind, EquivalenceMode, SchedContext, SearchConfig};
+use pipesched_core::proof::{Certificate, ProofLogger};
+use pipesched_core::{
+    search, search_with_proof, BoundKind, EquivalenceMode, SchedContext, SearchConfig,
+    SearchOutcome,
+};
 use pipesched_ir::{analysis::verify_schedule, BasicBlock, BlockBuilder, DepDag, Op, TupleId};
 use pipesched_machine::{presets, Machine};
+
+/// A proof-logged search kept in memory: the outcome and its certificate.
+fn prove(ctx: &SchedContext<'_>, cfg: &SearchConfig) -> (SearchOutcome, Certificate) {
+    let (out, proof) = search_with_proof(ctx, cfg, ProofLogger::in_memory());
+    (out, proof.certificate.expect("in-memory certificate"))
+}
 
 /// A random basic block built from a byte script, with at most `max_len`
 /// instructions. Every generated block is valid by construction.
@@ -241,7 +251,7 @@ fn rule_5c_counterexample_regression() {
 
             // The sound rules' searches also certify: the checker accepts
             // their transcripts and confirms the brute-force μ.
-            let (out, cert) = pipesched_core::prove(&ctx, &cfg);
+            let (out, cert) = prove(&ctx, &cfg);
             assert!(out.optimal);
             let check = pipesched_proof::check_certificate(&block, &machine, &cert);
             assert!(
@@ -269,7 +279,7 @@ fn rule_5c_counterexample_regression() {
             lambda: u64::MAX,
             ..SearchConfig::default()
         };
-        let (_, forged) = pipesched_core::prove(&ctx, &cfg);
+        let (_, forged) = prove(&ctx, &cfg);
         let check = pipesched_proof::check_certificate(&block, &machine, &forged);
         match check.verdict {
             pipesched_proof::ProofVerdict::OptimalCertified { nops } => {

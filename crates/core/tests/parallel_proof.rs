@@ -3,11 +3,67 @@
 //! — a dropped worker transcript, a truncated run passed off as complete —
 //! must be rejected by the independent checker.
 
-use pipesched_core::parallel::{parallel_prove, parallel_search};
-use pipesched_core::{search, ParallelConfig, SchedContext, SearchConfig};
+use pipesched_core::proof::{
+    Certificate, CertificateHeader, CertificateTrailer, ProofEvent, ProofLogger,
+};
+use pipesched_core::{
+    branch_and_bound, search, ParallelConfig, SchedContext, SearchConfig, SearchOutcome,
+};
 use pipesched_ir::{BasicBlock, BlockBuilder, DepDag};
 use pipesched_machine::{presets, Machine};
 use pipesched_proof::{check_certificate, ProofVerdict};
+
+/// The merged certificate's pieces from a proof-logged
+/// [`branch_and_bound`] run: the header and trailer, and the transcript
+/// split at the root dispositions (one part for a serial run).
+#[derive(Clone)]
+struct PoolProof {
+    header: CertificateHeader,
+    parts: Vec<Vec<ProofEvent>>,
+    trailer: CertificateTrailer,
+}
+
+impl PoolProof {
+    /// Concatenate the parts into the certificate the checker replays.
+    fn merge(&self) -> Certificate {
+        Certificate {
+            header: self.header.clone(),
+            events: self.parts.concat(),
+            trailer: self.trailer.clone(),
+        }
+    }
+}
+
+fn parallel_prove(
+    ctx: &SchedContext<'_>,
+    cfg: &SearchConfig,
+    par: &ParallelConfig,
+) -> (SearchOutcome, PoolProof) {
+    let (out, seen) = branch_and_bound(ctx, cfg, par, Some(ProofLogger::in_memory()), false);
+    let cert = seen
+        .proof
+        .and_then(|p| p.certificate)
+        .expect("in-memory proof");
+    let parts = if seen.parts.is_empty() {
+        vec![cert.events]
+    } else {
+        seen.parts
+    };
+    let proof = PoolProof {
+        header: cert.header,
+        parts,
+        trailer: cert.trailer,
+    };
+    (out, proof)
+}
+
+fn parallel_search(
+    ctx: &SchedContext<'_>,
+    cfg: &SearchConfig,
+    par: &ParallelConfig,
+) -> SearchOutcome {
+    branch_and_bound(ctx, cfg, par, None, false).0
+}
 
 /// Independent chains of load/load/mul/store — enough root candidates
 /// that phase 2 of the prover produces several per-subtree transcripts.

@@ -1,20 +1,21 @@
-//! Differential property suite for the work-stealing parallel search.
+//! Differential property suite for the work-stealing parallel search, run
+//! through the `solve` dispatcher.
 //!
 //! Three independent exact engines — the serial branch-and-bound, the
 //! parallel pool at every thread count, and the SAT/B&B race — must agree
 //! on the optimal NOP count of every random block on every machine
-//! preset. When the parallel prover runs, its per-worker transcripts must
-//! merge into one certificate the independent checker accepts, and the
-//! race's SAT outcome must survive the full audit.
+//! preset. A profiled pool run must account for every node it visited.
+//! When the parallel prover runs, its per-worker transcripts must merge
+//! into one certificate the independent checker accepts, and the race's
+//! SAT outcome must survive the full audit.
 
 use proptest::prelude::*;
 
-use pipesched_core::parallel::{parallel_prove, parallel_search};
-use pipesched_core::{search, ParallelConfig, SchedContext, SearchConfig};
+use pipesched_core::{search, Backend, ParallelConfig, SchedContext, SearchConfig};
 use pipesched_machine::{presets, Machine};
 use pipesched_proof::{check_certificate, ProofVerdict};
 use pipesched_solve::audit::audit_outcome;
-use pipesched_solve::{race, RaceConfig};
+use pipesched_solve::{solve, Plan, ProofSink};
 use pipesched_synth::{generate_block, GeneratorConfig};
 
 fn machines() -> Vec<Machine> {
@@ -45,12 +46,16 @@ proptest! {
         prop_assert!(serial.optimal);
 
         for threads in THREADS {
-            let par = parallel_search(
-                &ctx,
-                &SearchConfig::with_lambda(u64::MAX),
-                &ParallelConfig::with_threads(threads),
-            );
+            let out = solve(&ctx, &Plan {
+                search: SearchConfig::with_lambda(u64::MAX),
+                parallel: ParallelConfig::with_threads(threads),
+                profile: true,
+                ..Plan::default()
+            });
+            let par = &out.answer;
             prop_assert!(par.optimal, "parallel({threads}) truncated on\n{block}");
+            let profile = out.profile.as_ref().expect("profiled plan");
+            prop_assert_eq!(profile.total_nodes(), par.stats.nodes_visited);
             prop_assert_eq!(
                 par.nops, serial.nops,
                 "parallel({}) disagrees with serial on\n{}", threads, block
@@ -60,11 +65,11 @@ proptest! {
         }
 
         // Third opinion: the SAT/B&B race, independently audited.
-        let raced = race(&ctx, &RaceConfig::default());
-        prop_assert!(!raced.disagreement);
-        prop_assert!(raced.optimal());
-        prop_assert_eq!(raced.nops(), serial.nops, "race disagrees on\n{}", block);
-        let report = audit_outcome(&block, machine, &raced.sat);
+        let raced = solve(&ctx, &Plan { backend: Backend::Race, ..Plan::default() });
+        prop_assert!(!raced.race.expect("race report").disagreement);
+        prop_assert!(raced.answer.optimal);
+        prop_assert_eq!(raced.answer.nops, serial.nops, "race disagrees on\n{}", block);
+        let report = audit_outcome(&block, machine, raced.sat.as_ref().expect("SAT ran"));
         prop_assert!(!report.has_errors(), "audit rejected honest run on\n{}\n{:?}",
                      block, report);
     }
@@ -84,15 +89,16 @@ proptest! {
         let serial = search(&ctx, &SearchConfig::with_lambda(u64::MAX));
         prop_assert!(serial.optimal);
 
-        let (out, proof) = parallel_prove(
-            &ctx,
-            &SearchConfig::with_lambda(u64::MAX),
-            &ParallelConfig::with_threads(THREADS[threads_sel]),
-        );
-        prop_assert!(out.optimal);
-        prop_assert_eq!(out.nops, serial.nops, "prover disagrees on\n{}", block);
+        let out = solve(&ctx, &Plan {
+            search: SearchConfig::with_lambda(u64::MAX),
+            parallel: ParallelConfig::with_threads(THREADS[threads_sel]),
+            proof: ProofSink::InMemory,
+            ..Plan::default()
+        });
+        prop_assert!(out.answer.optimal);
+        prop_assert_eq!(out.answer.nops, serial.nops, "prover disagrees on\n{}", block);
 
-        let cert = proof.merge();
+        let cert = out.proof.and_then(|p| p.certificate).expect("in-memory certificate");
         let check = check_certificate(&block, machine, &cert);
         prop_assert!(
             check.is_certified(),

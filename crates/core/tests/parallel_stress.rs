@@ -9,8 +9,8 @@
 //! worker), the result is exactly the serial optimum, and the merged
 //! stats account for every split.
 
-use pipesched_core::parallel::{parallel_prove, parallel_search, ParallelConfig};
-use pipesched_core::{search, SchedContext, SearchConfig};
+use pipesched_core::proof::ProofLogger;
+use pipesched_core::{branch_and_bound, search, ParallelConfig, SchedContext, SearchConfig};
 use pipesched_machine::presets;
 use pipesched_proof::check_certificate;
 use pipesched_synth::{generate_block, GeneratorConfig};
@@ -34,10 +34,12 @@ fn forced_steal_pool_shuts_down_clean_at_8_threads() {
         let serial = search(&ctx, &SearchConfig::with_lambda(u64::MAX));
         assert!(serial.optimal);
 
-        let par = parallel_search(
+        let (par, _) = branch_and_bound(
             &ctx,
             &SearchConfig::with_lambda(u64::MAX),
             &forced_steal(8, ctx.len()),
+            None,
+            false,
         );
         assert!(par.optimal, "forced-steal pool truncated on\n{block}");
         assert_eq!(par.nops, serial.nops, "disagrees with serial on\n{block}");
@@ -63,46 +65,23 @@ fn forced_steal_prover_still_certifies() {
     let ctx = SchedContext::new(&block, &dag, &machine);
 
     let serial = search(&ctx, &SearchConfig::with_lambda(u64::MAX));
-    let (out, proof) = parallel_prove(
+    let (out, seen) = branch_and_bound(
         &ctx,
         &SearchConfig::with_lambda(u64::MAX),
         &forced_steal(8, ctx.len()),
+        Some(ProofLogger::in_memory()),
+        false,
     );
     assert!(out.optimal);
     assert_eq!(out.nops, serial.nops);
-    let check = check_certificate(&block, &machine, &proof.merge());
+    let cert = seen
+        .proof
+        .and_then(|p| p.certificate)
+        .expect("in-memory proof");
+    let check = check_certificate(&block, &machine, &cert);
     assert!(
         check.is_certified(),
         "forced-steal certificate rejected:\n{}",
         check.report
     );
-}
-
-/// The threads=1 counter-exactness contract survives maximal splitting:
-/// with LIFO pops the task order is the serial DFS order, so node and Ω
-/// counters match the serial kernel bit for bit.
-#[test]
-fn forced_steal_single_thread_is_counter_exact() {
-    for seed in [3u64, 17] {
-        let block = generate_block(&GeneratorConfig::new(6, 3, 2, seed));
-        let dag = pipesched_ir::DepDag::build(&block);
-        let machine = presets::paper_simulation();
-        let ctx = SchedContext::new(&block, &dag, &machine);
-
-        let serial = search(&ctx, &SearchConfig::with_lambda(u64::MAX));
-        let par = parallel_search(
-            &ctx,
-            &SearchConfig::with_lambda(u64::MAX),
-            &forced_steal(1, ctx.len()),
-        );
-        assert_eq!(par.nops, serial.nops);
-        assert_eq!(
-            par.stats.omega_calls, serial.stats.omega_calls,
-            "Ω counter drift at threads=1 on\n{block}"
-        );
-        assert_eq!(
-            par.stats.nodes_visited, serial.stats.nodes_visited,
-            "node counter drift at threads=1 on\n{block}"
-        );
-    }
 }

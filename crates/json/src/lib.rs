@@ -198,6 +198,12 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts. Every document this
+/// workspace reads (requests, certificates, cache files, configs) nests at
+/// most about 4 deep; the cap keeps a hostile line of `[`s from
+/// overflowing the recursive parser's stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parse failure, with a byte offset into the input.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
@@ -220,6 +226,7 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -233,6 +240,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -241,6 +250,16 @@ impl Parser<'_> {
             offset: self.pos,
             message: message.into(),
         }
+    }
+
+    /// Open one array/object level, failing past [`MAX_DEPTH`].
+    fn open(&mut self, b: u8) -> Result<(), JsonError> {
+        self.expect(b)?;
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(self.error(format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        Ok(())
     }
 
     fn skip_ws(&mut self) {
@@ -290,11 +309,12 @@ impl Parser<'_> {
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
+        self.open(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
+            self.depth -= 1;
             return Ok(Json::Array(items));
         }
         loop {
@@ -305,6 +325,7 @@ impl Parser<'_> {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(Json::Array(items));
                 }
                 _ => return Err(self.error("expected `,` or `]` in array")),
@@ -313,11 +334,12 @@ impl Parser<'_> {
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
+        self.open(b'{')?;
         let mut members = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
+            self.depth -= 1;
             return Ok(Json::Object(members));
         }
         loop {
@@ -336,6 +358,7 @@ impl Parser<'_> {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(Json::Object(members));
                 }
                 _ => return Err(self.error("expected `,` or `}` in object")),
@@ -571,6 +594,22 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_a_typed_error() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&objects).is_ok());
+        // Siblings do not accumulate depth.
+        let wide = format!("[{}]", vec!["[[]]"; 1000].join(","));
+        assert!(parse(&wide).is_ok());
+        let err = parse(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH + 1);
+        assert!(err.message.contains("nesting deeper than"), "{err}");
+        let err = parse(&"{\"k\":".repeat(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nesting deeper than"), "{err}");
     }
 
     #[test]

@@ -783,10 +783,17 @@ impl<'a> Checker<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipesched_core::bnb::{prove, SearchConfig};
-    use pipesched_core::SchedContext;
+    use pipesched_core::bnb::{search_with_proof, SearchConfig};
+    use pipesched_core::proof::ProofLogger;
+    use pipesched_core::{SchedContext, SearchOutcome};
     use pipesched_ir::{BlockBuilder, DepDag};
     use pipesched_machine::presets;
+
+    /// A proof-logged search kept in memory: the outcome and its certificate.
+    fn prove(ctx: &SchedContext<'_>, cfg: &SearchConfig) -> (SearchOutcome, Certificate) {
+        let (out, proof) = search_with_proof(ctx, cfg, ProofLogger::in_memory());
+        (out, proof.certificate.expect("in-memory certificate"))
+    }
 
     fn demo_block() -> BasicBlock {
         let mut b = BlockBuilder::new("demo");

@@ -6,12 +6,19 @@
 use proptest::prelude::*;
 
 use pipesched_analyze::diag::DiagCode;
-use pipesched_core::bnb::{prove, search, EquivalenceMode, SearchConfig};
-use pipesched_core::proof::{Certificate, ProofEvent};
+use pipesched_core::bnb::{search, search_with_proof, EquivalenceMode, SearchConfig};
+use pipesched_core::proof::{Certificate, ProofEvent, ProofLogger};
+use pipesched_core::SearchOutcome;
 use pipesched_core::{global_lower_bound, BoundKind, SchedContext};
 use pipesched_ir::{BasicBlock, BlockBuilder, DepDag, Op, TupleId};
 use pipesched_machine::{presets, Machine};
 use pipesched_proof::{check_certificate, ProofVerdict};
+
+/// A proof-logged search kept in memory: the outcome and its certificate.
+fn prove(ctx: &SchedContext<'_>, cfg: &SearchConfig) -> (SearchOutcome, Certificate) {
+    let (out, proof) = search_with_proof(ctx, cfg, ProofLogger::in_memory());
+    (out, proof.certificate.expect("in-memory certificate"))
+}
 
 /// A random basic block built from a byte script (same construction as the
 /// core optimality suite): every generated block is valid by construction.

@@ -114,7 +114,7 @@ impl BatchSummary {
 /// whose certified μ must equal the response's.
 pub fn run_batch(
     engine: &ServiceEngine,
-    input: &str,
+    input: &[u8],
     config: &ServeConfig,
     check: bool,
     prove: bool,
@@ -129,7 +129,7 @@ pub fn run_batch(
     let pruned_before = pruned(agg);
     let start = Instant::now();
     let mut out = Vec::new();
-    serve_stream(engine, input.as_bytes(), &mut out, config)?;
+    serve_stream(engine, input, &mut out, config)?;
     let wall_micros = start.elapsed().as_micros() as u64;
 
     let responses: Vec<String> = String::from_utf8_lossy(&out)
@@ -137,7 +137,7 @@ pub fn run_batch(
         .map(str::to_string)
         .collect();
     let mut summary = summarize_responses(
-        input,
+        &String::from_utf8_lossy(input),
         responses,
         wall_micros,
         engine.cache().hits() - hits_before,
@@ -260,11 +260,17 @@ fn prove_response(request_line: &str, response: &Json) -> bool {
     };
     let dag = pipesched_ir::DepDag::build(&req.block);
     let ctx = pipesched_core::SchedContext::new(&req.block, &dag, &req.machine);
-    let cfg = pipesched_core::SearchConfig {
-        lambda: u64::MAX,
-        ..pipesched_core::SearchConfig::default()
+    let plan = pipesched_solve::Plan {
+        search: pipesched_core::SearchConfig::with_lambda(u64::MAX),
+        proof: pipesched_solve::ProofSink::InMemory,
+        ..Default::default()
     };
-    let (_, cert) = pipesched_core::prove(&ctx, &cfg);
+    let Some(cert) = pipesched_solve::solve(&ctx, &plan)
+        .proof
+        .and_then(|p| p.certificate)
+    else {
+        return false;
+    };
     let check = pipesched_proof::check_certificate(&req.block, &req.machine, &cert);
     match check.verdict {
         pipesched_proof::ProofVerdict::OptimalCertified { nops } => nops == claimed,
@@ -360,8 +366,14 @@ mod tests {
     #[test]
     fn batch_replay_hits_and_certifies() {
         let eng = engine();
-        let summary =
-            run_batch(&eng, &workload(5), &ServeConfig { workers: 2 }, true, false).unwrap();
+        let summary = run_batch(
+            &eng,
+            workload(5).as_bytes(),
+            &ServeConfig { workers: 2 },
+            true,
+            false,
+        )
+        .unwrap();
         assert_eq!(summary.requests, 10);
         assert_eq!(summary.ok, 10);
         assert_eq!(summary.errors, 0);
@@ -398,8 +410,14 @@ mod tests {
             64,
             4,
         );
-        let summary =
-            run_batch(&eng, &workload(3), &ServeConfig { workers: 2 }, true, false).unwrap();
+        let summary = run_batch(
+            &eng,
+            workload(3).as_bytes(),
+            &ServeConfig { workers: 2 },
+            true,
+            false,
+        )
+        .unwrap();
         assert_eq!(summary.ok, 6);
         assert_eq!(summary.certified, 6, "SAT answers are certifier-clean");
         assert_eq!(summary.certify_failures, 0);
@@ -413,7 +431,14 @@ mod tests {
     fn batch_counts_error_lines() {
         let eng = engine();
         let input = format!("{}garbage\n", workload(1));
-        let summary = run_batch(&eng, &input, &ServeConfig::default(), false, false).unwrap();
+        let summary = run_batch(
+            &eng,
+            input.as_bytes(),
+            &ServeConfig::default(),
+            false,
+            false,
+        )
+        .unwrap();
         assert_eq!(summary.requests, 3);
         assert_eq!(summary.ok, 2);
         assert_eq!(summary.errors, 1);
@@ -429,7 +454,14 @@ mod tests {
             64,
             4,
         );
-        let summary = run_batch(&eng, &workload(3), &ServeConfig::default(), true, true).unwrap();
+        let summary = run_batch(
+            &eng,
+            workload(3).as_bytes(),
+            &ServeConfig::default(),
+            true,
+            true,
+        )
+        .unwrap();
         assert_eq!(summary.ok, 6);
         assert_eq!(summary.proved, 6, "every optimal response replays");
         assert_eq!(summary.proof_failures, 0);

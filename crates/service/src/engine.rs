@@ -23,15 +23,15 @@
 
 use std::time::Instant;
 
-use pipesched_core::proof::{Certificate, ProofLogger};
+use pipesched_core::proof::ProofLogger;
 use pipesched_core::{
-    global_lower_bound, parallel_prove, parallel_search, search, search_with_profile,
-    search_with_proof, windowed_schedule_bounded, Backend, ParallelConfig, SchedContext,
+    global_lower_bound, search, windowed_schedule_bounded, Backend, ParallelConfig, SchedContext,
     SearchConfig, SearchProfile,
 };
 use pipesched_ir::{analysis::verify_schedule, BasicBlock, DepDag, TupleId};
 use pipesched_json::{json_object, Json};
 use pipesched_machine::{Machine, PipelineId};
+use pipesched_solve::{certify_optimum, solve, Plan, ProofSink};
 use pipesched_trace::flight::{self, Phase};
 use pipesched_trace::{point2, span};
 
@@ -440,18 +440,21 @@ impl ServiceEngine {
         };
         self.metrics.search.record(&list.stats, true);
         note_flight_search(&list.stats);
-        if list.optimal {
-            let mut answer = answer_from_search(&list, Tier::List, 0);
-            if self.config.prove {
-                answer.proof_digest = Some(prove_digest(ctx, &answer.order, answer.nops));
-            }
-            return answer;
-        }
         let mut omega_spent = list.stats.omega_calls;
+        if list.optimal {
+            let proof_digest = self
+                .config
+                .prove
+                .then(|| prove_digest(ctx, &list.order, list.nops));
+            return Answer {
+                proof_digest,
+                ..answer_from_search(list, Tier::List, Backend::Bnb, 0)
+            };
+        }
 
         // Tier "windowed": only worthwhile when the block is longer than
         // the window; spends a bounded share of the budget.
-        let windowed = if ctx.len() > self.config.window && nodes > 1 {
+        let mut windowed = if ctx.len() > self.config.window && nodes > 1 {
             let _s = span("tier_windowed");
             let w_nodes = (nodes / self.config.windowed_share).max(1);
             let w = windowed_schedule_bounded(ctx, self.config.window, w_nodes, deadline);
@@ -464,227 +467,107 @@ impl ServiceEngine {
         } else {
             None
         };
-        let global_lb = global_lower_bound(ctx);
-        if let Some(w) = &windowed {
-            if w.nops <= global_lb {
-                // The windowed schedule meets the admissible bound: optimal.
-                let (etas, nops) = pipesched_core::timing::evaluate_schedule(ctx, &w.order);
-                debug_assert_eq!(nops, w.nops);
-                let proof_digest = self.config.prove.then(|| prove_digest(ctx, &w.order, nops));
-                return Answer {
-                    order: w.order.clone(),
-                    assignment: ctx.sigma.clone(),
-                    etas,
-                    nops,
-                    optimal: true,
-                    cache_hit: false,
-                    tier: Tier::Windowed,
-                    backend: Backend::Bnb,
-                    omega_calls: omega_spent,
-                    deadline_hit: false,
-                    proof_digest,
-                };
-            }
+        if let Some(w) = windowed.take_if(|w| w.nops <= global_lower_bound(ctx)) {
+            // The windowed schedule meets the admissible bound: optimal.
+            let proof_digest = self
+                .config
+                .prove
+                .then(|| prove_digest(ctx, &w.order, w.nops));
+            return Answer {
+                proof_digest,
+                ..windowed_answer(ctx, w.order, true, omega_spent, false)
+            };
         }
 
         // The final exact tier: the remaining budget under the request
         // deadline goes to the configured backend — the paper's
-        // branch-and-bound, the SAT portfolio's descending feasibility
-        // queries, or a race of the two.
-        let lambda = nodes.saturating_sub(omega_spent).max(1);
-        let answer = match self.config.backend {
-            Backend::Bnb => self.bnb_tier(ctx, deadline, lambda, &mut omega_spent),
-            Backend::Sat => {
-                let _s = span("tier_sat");
-                let solve_cfg = pipesched_solve::SolveConfig {
-                    deadline,
-                    ..Default::default()
-                };
-                let out = pipesched_solve::solve_schedule(ctx, &solve_cfg);
-                self.metrics.record_sat_effort(
-                    out.stats.conflicts,
-                    out.stats.decisions,
-                    out.stats.propagations,
-                );
-                self.answer_from_solve(ctx, out, omega_spent)
+        // branch-and-bound (serial or pooled), the SAT portfolio's
+        // descending feasibility queries, or a race of the two.
+        let plan = Plan {
+            search: SearchConfig {
+                lambda: nodes.saturating_sub(omega_spent).max(1),
+                deadline,
+                ..SearchConfig::default()
+            },
+            parallel: ParallelConfig::with_threads(self.config.threads),
+            backend: self.config.backend,
+            proof: if self.config.prove {
+                ProofSink::InMemory
+            } else {
+                ProofSink::Off
+            },
+            // While a trace records, profile the search (identical result)
+            // so its depth breakdown lands on the tier span as points.
+            profile: pipesched_trace::active(),
+            // Serving latency beats cross-certification here: the loser
+            // is cancelled the moment the winner proves optimality. The
+            // CLI's race mode keeps both for the full agreement check.
+            cancel_loser: true,
+        };
+        let out = {
+            let _s = span(match (plan.backend, self.config.threads) {
+                (Backend::Bnb, 1) => "tier_bnb",
+                (Backend::Bnb, _) => "tier_bnb_parallel",
+                (Backend::Sat, _) => "tier_sat",
+                (Backend::Race, _) => "tier_race",
+            });
+            let out = solve(ctx, &plan);
+            out.profile.iter().for_each(trace_search_profile);
+            out
+        };
+        if plan.backend != Backend::Sat {
+            // A pool's bound prunes include deferred task drops, so only a
+            // one-thread run joins the search-identity set.
+            self.metrics
+                .search
+                .record(&out.answer.stats, self.config.threads == 1);
+            note_flight_search(&out.answer.stats);
+            if self.config.threads != 1 {
+                let stats = &out.answer.stats;
+                self.metrics.record_parallel(stats.steals, stats.splits);
             }
-            Backend::Race => {
-                let _s = span("tier_race");
-                let race_cfg = pipesched_solve::RaceConfig {
-                    lambda,
-                    deadline,
-                    // Serving latency beats cross-certification here: the
-                    // loser is cancelled the moment the winner proves
-                    // optimality. The CLI's race mode keeps both for the
-                    // full agreement check.
-                    cancel_loser: true,
-                    ..Default::default()
-                };
-                let out = pipesched_solve::race(ctx, &race_cfg);
-                self.metrics.search.record(&out.bnb.stats, true);
-                note_flight_search(&out.bnb.stats);
-                if out.disagreement {
-                    flight::note_outcome(flight::Outcome::Disagreement);
-                }
-                self.metrics.record_sat_effort(
-                    out.sat.stats.conflicts,
-                    out.sat.stats.decisions,
-                    out.sat.stats.propagations,
-                );
-                omega_spent += out.bnb.stats.omega_calls;
-                point2("race_bnb_micros", 0, out.bnb_micros as i64);
-                point2("race_sat_micros", 0, out.sat_micros as i64);
-                // A disagreement between two optimality proofs means one
-                // of them is wrong; `race` already refuses to answer from
-                // the SAT side in that case, and the certifier rejects the
-                // served schedule in debug builds.
-                debug_assert!(
-                    !out.disagreement,
-                    "SAT and branch-and-bound disagree on the optimal NOP count"
-                );
-                if out.winner == Backend::Sat {
-                    self.answer_from_solve(ctx, out.sat, omega_spent)
-                } else {
-                    let mut a = answer_from_search(&out.bnb, Tier::Bnb, omega_spent);
-                    if self.config.prove && a.optimal {
-                        a.proof_digest = Some(prove_digest(ctx, &a.order, a.nops));
-                    }
-                    a
-                }
+        }
+        if let Some(sat) = &out.sat {
+            self.metrics.record_sat_effort(
+                sat.stats.conflicts,
+                sat.stats.decisions,
+                sat.stats.propagations,
+            );
+        }
+        if let Some(race) = &out.race {
+            point2("race_bnb_micros", 0, race.bnb_micros as i64);
+            point2("race_sat_micros", 0, race.sat_micros as i64);
+            if race.disagreement {
+                flight::note_outcome(flight::Outcome::Disagreement);
             }
+            // A disagreement between two optimality proofs means one of
+            // them is wrong; the race then answers from the
+            // branch-and-bound side, and the certifier rejects the served
+            // schedule in debug builds.
+            debug_assert!(
+                !race.disagreement,
+                "SAT and branch-and-bound disagree on the optimal NOP count"
+            );
+        }
+        omega_spent += out.answer.stats.omega_calls;
+        let deadline_hit = out.deadline_hit();
+        // A truncated transcript is not a proof; attach nothing.
+        let proof_digest = out.proof.filter(|_| out.answer.optimal).map(|p| p.digest);
+        let answer = Answer {
+            deadline_hit,
+            proof_digest,
+            ..answer_from_search(out.answer, Tier::Bnb, out.backend, omega_spent)
         };
 
         // The final tier starts from the list incumbent, so it can only
         // tie or beat the list tier; the windowed candidate may still be
         // better when the exact search was truncated early.
-        if let Some(w) = windowed {
-            if !answer.optimal && w.nops < answer.nops {
-                let (etas, nops) = pipesched_core::timing::evaluate_schedule(ctx, &w.order);
-                debug_assert_eq!(nops, w.nops);
-                return Answer {
-                    order: w.order,
-                    assignment: ctx.sigma.clone(),
-                    etas,
-                    nops,
-                    optimal: false,
-                    cache_hit: false,
-                    tier: Tier::Windowed,
-                    backend: Backend::Bnb,
-                    omega_calls: answer.omega_calls,
-                    deadline_hit: answer.deadline_hit || w.stats.deadline_hit,
-                    proof_digest: None,
-                };
+        match windowed {
+            Some(w) if !answer.optimal && w.nops < answer.nops => {
+                let deadline_hit = answer.deadline_hit || w.stats.deadline_hit;
+                windowed_answer(ctx, w.order, false, answer.omega_calls, deadline_hit)
             }
-        }
-        answer
-    }
-
-    /// The branch-and-bound variant of the final tier: proving, profiled,
-    /// or plain depending on configuration and whether a trace records.
-    fn bnb_tier(
-        &self,
-        ctx: &SchedContext<'_>,
-        deadline: Option<Instant>,
-        lambda: u64,
-        omega_spent: &mut u64,
-    ) -> Answer {
-        let bnb_cfg = SearchConfig {
-            lambda,
-            deadline,
-            ..SearchConfig::default()
-        };
-        if self.config.threads != 1 {
-            return self.parallel_bnb_tier(ctx, &bnb_cfg, omega_spent);
-        }
-        let (bnb, bnb_digest) = if self.config.prove {
-            let _s = span("tier_bnb");
-            let (out, proof) = search_with_proof(ctx, &bnb_cfg, ProofLogger::in_memory());
-            // A truncated transcript is not a proof; attach nothing.
-            let digest = out.optimal.then_some(proof.digest);
-            (out, digest)
-        } else if pipesched_trace::active() {
-            // A trace is recording: run the profiled search (identical
-            // result, per-depth counters) and attach the depth breakdown
-            // to the tier span as points.
-            let _s = span("tier_bnb");
-            let mut profile = SearchProfile::new();
-            let out = search_with_profile(ctx, &bnb_cfg, &mut profile);
-            for (depth, d) in profile.depths.iter().enumerate() {
-                point2("bnb_depth_nodes", depth as i64, d.nodes as i64);
-                point2("bnb_depth_omega", depth as i64, d.omega_calls as i64);
-                point2(
-                    "bnb_depth_pruned_bound",
-                    depth as i64,
-                    d.pruned_bound as i64,
-                );
-            }
-            (out, None)
-        } else {
-            let _s = span("tier_bnb");
-            (search(ctx, &bnb_cfg), None)
-        };
-        self.metrics.search.record(&bnb.stats, true);
-        note_flight_search(&bnb.stats);
-        *omega_spent += bnb.stats.omega_calls;
-        let mut answer = answer_from_search(&bnb, Tier::Bnb, *omega_spent);
-        answer.proof_digest = bnb_digest;
-        answer
-    }
-
-    /// The work-stealing parallel variant of the final tier. Stats are
-    /// recorded without the single-search node identity (a pool's bound
-    /// prunes include deferred task drops), and the steal/split counters
-    /// feed the parallel gauges. When proving, the per-worker transcripts
-    /// are merged into one certificate and its digest attached.
-    fn parallel_bnb_tier(
-        &self,
-        ctx: &SchedContext<'_>,
-        bnb_cfg: &SearchConfig,
-        omega_spent: &mut u64,
-    ) -> Answer {
-        let par = ParallelConfig::with_threads(self.config.threads);
-        let _s = span("tier_bnb_parallel");
-        let (out, digest) = if self.config.prove {
-            let (out, proof) = parallel_prove(ctx, bnb_cfg, &par);
-            let digest = out.optimal.then(|| proof.merge().digest());
-            (out, digest)
-        } else {
-            (parallel_search(ctx, bnb_cfg, &par), None)
-        };
-        self.metrics.search.record(&out.stats, false);
-        note_flight_search(&out.stats);
-        self.metrics
-            .record_parallel(out.stats.steals, out.stats.splits);
-        *omega_spent += out.stats.omega_calls;
-        let mut answer = answer_from_search(&out, Tier::Bnb, *omega_spent);
-        answer.proof_digest = digest;
-        answer
-    }
-
-    /// Package a SAT-portfolio outcome as a served answer. The proof
-    /// digest, when proving is on, comes from the by-bound shortcut or a
-    /// fresh certificate-logged search — the SAT query trail itself is
-    /// audited by `pipesched-solve`, not persisted as a certificate.
-    fn answer_from_solve(
-        &self,
-        ctx: &SchedContext<'_>,
-        out: pipesched_solve::SolveOutcome,
-        omega_calls: u64,
-    ) -> Answer {
-        let proof_digest =
-            (self.config.prove && out.optimal).then(|| prove_digest(ctx, &out.order, out.nops));
-        Answer {
-            order: out.order,
-            assignment: out.assignment,
-            etas: out.etas,
-            nops: out.nops,
-            optimal: out.optimal,
-            cache_hit: false,
-            tier: Tier::Bnb,
-            backend: Backend::Sat,
-            omega_calls,
-            deadline_hit: out.stats.deadline_hit,
-            proof_digest,
+            _ => answer,
         }
     }
 
@@ -755,50 +638,74 @@ fn note_flight_search(stats: &pipesched_core::SearchStats) {
     flight::note_search(stats.nodes_visited, stats.omega_calls, stats.pruned_total());
 }
 
-fn answer_from_search(out: &pipesched_core::SearchOutcome, tier: Tier, omega_calls: u64) -> Answer {
+fn answer_from_search(
+    out: pipesched_core::SearchOutcome,
+    tier: Tier,
+    backend: Backend,
+    omega_calls: u64,
+) -> Answer {
     Answer {
-        order: out.order.clone(),
-        assignment: out.assignment.clone(),
-        etas: out.etas.clone(),
+        order: out.order,
+        assignment: out.assignment,
+        etas: out.etas,
         nops: out.nops,
         optimal: out.optimal,
         cache_hit: false,
         tier,
-        backend: Backend::Bnb,
+        backend,
         omega_calls,
         deadline_hit: out.stats.deadline_hit,
         proof_digest: None,
     }
 }
 
+/// A windowed schedule served as an answer, re-timed from its order.
+fn windowed_answer(
+    ctx: &SchedContext<'_>,
+    order: Vec<TupleId>,
+    optimal: bool,
+    omega_calls: u64,
+    deadline_hit: bool,
+) -> Answer {
+    let (etas, nops) = pipesched_core::timing::evaluate_schedule(ctx, &order);
+    Answer {
+        order,
+        assignment: ctx.sigma.clone(),
+        etas,
+        nops,
+        optimal,
+        cache_hit: false,
+        tier: Tier::Windowed,
+        backend: Backend::Bnb,
+        omega_calls,
+        deadline_hit,
+        proof_digest: None,
+    }
+}
+
 /// Certificate digest for an answer already proven optimal without a full
-/// search transcript: when the schedule meets the admissible whole-block
-/// lower bound, the shortcut by-bound certificate suffices; otherwise (a
-/// tiny block whose λ=1 search completed exhaustively) a fresh fully-logged
-/// search is cheap.
+/// search transcript (see [`certify_optimum`]).
 fn prove_digest(ctx: &SchedContext<'_>, order: &[TupleId], nops: u32) -> u64 {
     let _s = span("prove");
     // The prove phase runs inside the search lap, so wide events report it
     // both standalone (`us_prove`) and as part of `us_search`.
     let t0 = flight::active().then(Instant::now);
-    let digest = {
-        let lb = global_lower_bound(ctx);
-        if nops == lb {
-            let order: Vec<u32> = order.iter().map(|t| t.0).collect();
-            Certificate::by_bound(ctx.len() as u32, order, nops, lb).digest()
-        } else {
-            let cfg = SearchConfig {
-                lambda: u64::MAX,
-                ..SearchConfig::default()
-            };
-            let (_, cert) = pipesched_core::prove(ctx, &cfg);
-            cert.digest()
-        }
-    };
+    let digest = certify_optimum(ctx, order, nops, ProofLogger::in_memory()).digest;
     if let Some(t0) = t0 {
         flight::phase_us(Phase::Prove, t0.elapsed().as_micros() as u64);
     }
     digest
+}
+
+/// Write a search profile's depth breakdown into the active trace as
+/// `bnb_depth_*` points (nothing when no trace records).
+pub fn trace_search_profile(profile: &SearchProfile) {
+    for (depth, d) in profile.depths.iter().enumerate() {
+        let depth = depth as i64;
+        point2("bnb_depth_nodes", depth, d.nodes as i64);
+        point2("bnb_depth_omega", depth, d.omega_calls as i64);
+        point2("bnb_depth_pruned_bound", depth, d.pruned_bound as i64);
+    }
 }
 
 /// Replay a cached canonical schedule on a (possibly different) block with

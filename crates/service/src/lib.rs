@@ -59,7 +59,7 @@ pub(crate) fn flight_test_lock() -> std::sync::MutexGuard<'static, ()> {
 }
 pub use cache::{CacheEntry, ScheduleCache};
 pub use canon::{canonicalize, machine_fingerprint, CanonForm, CanonKey};
-pub use engine::{Answer, Budget, EngineConfig, ServiceEngine, Tier};
+pub use engine::{trace_search_profile, Answer, Budget, EngineConfig, ServiceEngine, Tier};
 pub use metrics::{LatencyHistogram, Metrics, SearchAggregate};
 pub use pipesched_core::Backend;
 pub use request::{error_json, parse_request, response_json, Request};

@@ -50,7 +50,7 @@ impl Default for ServeConfig {
 }
 
 enum Job {
-    Line { seq: u64, line: String },
+    Line { seq: u64, line: Vec<u8> },
     Shutdown,
 }
 
@@ -138,11 +138,17 @@ pub fn serve_stream<R: BufRead, W: Write + Send>(
             });
         }
 
+        // Lines are read as bytes: one that is not UTF-8 gets an error
+        // response for its sequence number like any other bad request,
+        // and the stream keeps going.
+        let mut input = input;
         let mut seq = 0u64;
-        for line in input.lines() {
-            match line {
-                Ok(line) => {
-                    if line.trim().is_empty() {
+        loop {
+            let mut line = Vec::new();
+            match input.read_until(b'\n', &mut line) {
+                Ok(0) => break,
+                Ok(_) => {
+                    if line.iter().all(u8::is_ascii_whitespace) {
                         continue;
                     }
                     queue.push(Job::Line { seq, line });
@@ -166,11 +172,11 @@ pub fn serve_stream<R: BufRead, W: Write + Send>(
     }
 }
 
-/// Answer one request line, returning the rendered response line. When
-/// tracing is on, the whole request records one trace (published to the
-/// in-process store, fetchable via `GET /trace/<id>`) and the response
-/// carries its id.
-pub(crate) fn handle_line(engine: &ServiceEngine, line: &str) -> String {
+/// Answer one request line (raw bytes, line terminator included or not),
+/// returning the rendered response line. When tracing is on, the whole
+/// request records one trace (published to the in-process store,
+/// fetchable via `GET /trace/<id>`) and the response carries its id.
+pub(crate) fn handle_line(engine: &ServiceEngine, line: &[u8]) -> String {
     engine.metrics().record_request();
     let trace_id = if pipesched_trace::enabled() {
         let id = pipesched_trace::begin("request");
@@ -183,7 +189,9 @@ pub(crate) fn handle_line(engine: &ServiceEngine, line: &str) -> String {
     let mut fclock = flight::clock();
     let parsed = {
         let _s = pipesched_trace::span("parse");
-        parse_request(line)
+        std::str::from_utf8(line)
+            .map_err(|e| format!("request line is not valid UTF-8: {e}"))
+            .and_then(parse_request)
     };
     fclock.lap(flight::Phase::Parse);
     let rendered = match parsed {
@@ -250,8 +258,9 @@ pub(crate) fn handle_line(engine: &ServiceEngine, line: &str) -> String {
             engine.metrics().record_error();
             flight::note_outcome(flight::Outcome::Error);
             // Salvage the id for correlation even when the rest is bad.
-            let id = pipesched_json::parse(line)
+            let id = std::str::from_utf8(line)
                 .ok()
+                .and_then(|l| pipesched_json::parse(l).ok())
                 .and_then(|d| d.get("id").and_then(pipesched_json::Json::as_i64));
             if let Some(id) = id {
                 flight::note_req(id);
@@ -282,19 +291,29 @@ pub fn serve_tcp(
     for conn in listener.incoming() {
         let stream = conn?;
         let mut reader = BufReader::new(stream.try_clone()?);
-        let mut first = String::new();
-        if reader.read_line(&mut first)? == 0 {
+        // Sniffed as bytes: a first line that is not UTF-8 is a bad
+        // request for `serve_stream` to answer, not a reason to drop the
+        // connection.
+        let mut first = Vec::new();
+        if reader.read_until(b'\n', &mut first)? == 0 {
             // Liveness probe: the peer connected and closed without
             // sending anything. Not a served connection.
             continue;
         }
-        if first.starts_with("GET ") {
-            handle_http(engine, &mut reader, stream, &first, config.workers.max(1))?;
+        if first.starts_with(b"GET ") {
+            let request_line = String::from_utf8_lossy(&first);
+            handle_http(
+                engine,
+                &mut reader,
+                stream,
+                &request_line,
+                config.workers.max(1),
+            )?;
         } else {
             // Connections are handled sequentially; within one connection
             // the worker pool still answers requests concurrently. The
             // sniffed first line is replayed ahead of the rest.
-            let input = Cursor::new(first.into_bytes()).chain(reader);
+            let input = Cursor::new(first).chain(reader);
             serve_stream(engine, input, stream, config)?;
         }
         served += 1;
@@ -474,6 +493,50 @@ mod tests {
         );
     }
 
+    /// Serve `bad` between two valid requests: the bad line gets an error
+    /// response for its own sequence number and both requests are answered.
+    fn hostile_line_is_answered_in_place(bad: &[u8], expect: &str) {
+        let eng = engine();
+        let mut input = Vec::new();
+        input.extend_from_slice(REQ.as_bytes());
+        input.push(b'\n');
+        input.extend_from_slice(bad);
+        input.push(b'\n');
+        input.extend_from_slice(REQ.replace(r#""id": 1"#, r#""id": 3"#).as_bytes());
+        input.push(b'\n');
+        let mut out = Vec::new();
+        let handled =
+            serve_stream(&eng, &input[..], &mut out, &ServeConfig { workers: 2 }).unwrap();
+        assert_eq!(handled, 3);
+        let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().trim().lines().collect();
+        assert_eq!(lines.len(), 3);
+        let docs: Vec<Json> = lines
+            .iter()
+            .map(|l| pipesched_json::parse(l).unwrap())
+            .collect();
+        let ok: Vec<Option<bool>> = docs
+            .iter()
+            .map(|d| d.get("ok").and_then(Json::as_bool))
+            .collect();
+        assert_eq!(ok, [Some(true), Some(false), Some(true)]);
+        assert_eq!(docs[2].get("id").and_then(Json::as_i64), Some(3));
+        let message = docs[1].get("error").and_then(Json::as_str).unwrap();
+        assert!(message.contains(expect), "{message}");
+    }
+
+    #[test]
+    fn deep_json_line_gets_an_error_response() {
+        hostile_line_is_answered_in_place(&[b'['; 200_000], "nesting deeper than");
+    }
+
+    #[test]
+    fn non_utf8_line_gets_an_error_response() {
+        hostile_line_is_answered_in_place(
+            b"{\"id\": 2, \"block\": \"\xff\xfe\"}",
+            "not valid UTF-8",
+        );
+    }
+
     fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
         let mut stream = std::net::TcpStream::connect(addr).unwrap();
         write!(stream, "GET {path} HTTP/1.0\r\nHost: test\r\n\r\n").unwrap();
@@ -543,7 +606,7 @@ mod tests {
             64,
             4,
         );
-        let reply = handle_line(&eng, REQ);
+        let reply = handle_line(&eng, REQ.as_bytes());
         let doc = pipesched_json::parse(&reply).unwrap();
         assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(doc.get("opt_verified").and_then(Json::as_bool), Some(true));
@@ -576,7 +639,7 @@ mod tests {
             // PIPESCHED_VERIFY_OPT forced the default on; nothing to test.
             return;
         }
-        let reply = handle_line(&eng, REQ);
+        let reply = handle_line(&eng, REQ.as_bytes());
         let doc = pipesched_json::parse(&reply).unwrap();
         assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(true));
         assert!(doc.get("opt_verified").is_none());
@@ -599,7 +662,7 @@ mod tests {
         let _toggle = crate::flight_test_lock();
         let eng = engine();
         pipesched_trace::set_enabled(true);
-        let rendered = handle_line(&eng, REQ);
+        let rendered = handle_line(&eng, REQ.as_bytes());
         pipesched_trace::set_enabled(false);
         let doc = pipesched_json::parse(&rendered).unwrap();
         assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(true));
@@ -643,7 +706,7 @@ mod tests {
         let doc = pipesched_json::parse(&body).unwrap();
         assert_eq!(doc.get("status").and_then(Json::as_str), Some("unready"));
 
-        handle_line(&eng, REQ);
+        handle_line(&eng, REQ.as_bytes());
         let (status, ct, body) = route_http(&eng, "/slo", 2);
         assert_eq!(status, "200 OK");
         assert_eq!(ct, "application/json");
@@ -679,7 +742,7 @@ mod tests {
             r#"{{"id": 4242, "block": "{}", "machine": "paper-simulation", "deadline_ms": 0}}"#,
             lines.join(r"\n")
         );
-        let rendered = handle_line(&eng, &req);
+        let rendered = handle_line(&eng, req.as_bytes());
         pipesched_trace::set_enabled(false);
         flight::set_enabled(false);
 

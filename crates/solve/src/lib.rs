@@ -20,17 +20,21 @@
 //! branch-and-bound's bound arithmetic.
 //!
 //! Cross-certification is the point: [`audit::audit_outcome`] re-checks a
-//! finished outcome from scratch (stable `A06xx` codes), and
-//! [`portfolio::race`] runs both backends on one block and treats a
-//! disagreement between their proven optima as a hard failure
-//! ([`DiagCode::BackendDisagreement`]).
+//! finished outcome from scratch (stable `A06xx` codes), and a race plan
+//! runs both backends on one block and treats a disagreement between their
+//! proven optima as a hard failure ([`DiagCode::BackendDisagreement`]).
+//!
+//! This is the lowest crate that sees both backends, so it also holds the
+//! one dispatcher every exact search goes through: [`solve`] runs a
+//! [`Plan`] (backend, limits, threads, certificate sink, profile) and
+//! returns an [`Outcome`] (see [`dispatch`]).
 //!
 //! [`DiagCode::BackendDisagreement`]: pipesched_analyze::DiagCode::BackendDisagreement
 
 pub mod audit;
 pub mod cdcl;
+pub mod dispatch;
 pub mod encode;
-pub mod portfolio;
 
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -47,8 +51,8 @@ use cdcl::{SatLimits, SolveResult, Solver};
 use encode::Encoding;
 
 pub use audit::{audit_outcome, cross_check};
+pub use dispatch::{certify_optimum, solve, Outcome, Plan, ProofSink, RaceReport};
 pub use pipesched_core::Backend;
-pub use portfolio::{race, RaceConfig, RaceOutcome};
 
 /// Resource limits for one [`solve_schedule`] call (all queries share
 /// them).
@@ -59,7 +63,7 @@ pub struct SolveConfig {
     pub max_conflicts: Option<u64>,
     /// Anytime wall-clock deadline.
     pub deadline: Option<Instant>,
-    /// Cooperative cancellation flag (used by the portfolio race).
+    /// Cooperative cancellation flag (used by the race).
     pub stop: Option<Arc<AtomicBool>>,
 }
 

@@ -8,7 +8,10 @@
 //!                [--frontend] [--strict]
 //! pipesched lint --concurrency [DIR ...] [--json] [--strict]
 //! pipesched certify <input> [--machine NAME|FILE] [--lambda N] [--window N]
-//!                   [--parallel] [--json] [--no-optimize]
+//!                   [--threads N] [--backend B] [--json] [--no-optimize]
+//!
+//! The one-shot commands share one option grammar; every exact search
+//! they run is one `pipesched_solve::solve` call.
 //!
 //! <input>      a source file of assignment statements, a tuple file
 //!              (first line `;; tuples`), `-` for stdin, or (for lint) a
@@ -19,9 +22,9 @@
 //! --emit       asm | padded | trace | gantt | tuples | dot | stats  (default asm)
 //! --lambda     curtail point (default 50000)
 //! --window     windowed scheduling with the given window length
-//! --parallel   use the work-stealing parallel branch-and-bound
-//! --threads    worker threads for the parallel search (implies --parallel;
-//!              0 or omitted means one per CPU)
+//! --threads    branch-and-bound threads (default 1: the serial kernel;
+//!              more run the work-stealing pool, 0 means one per CPU)
+//! --parallel   the same as --threads 0
 //! --backend    bnb (default) | sat | race — the exact engine: the paper's
 //!              branch-and-bound, the CDCL SAT portfolio, or both raced and
 //!              cross-certified (any disagreement is a hard error)
@@ -34,10 +37,8 @@ use std::io::{Read, Write};
 use std::process::ExitCode;
 
 use pipesched::analyze;
-use pipesched::core::proof::{Certificate, ProofLogger};
-use pipesched::core::{
-    search, search_with_proof, windowed_schedule, Backend, SchedContext, Scheduler, SearchConfig,
-};
+use pipesched::core::proof::{Certificate, ProofOutput};
+use pipesched::core::{windowed_schedule, Backend, ParallelConfig, SchedContext, SearchConfig};
 use pipesched::frontend::{
     compile_unoptimized, lower_with_lines, parse_labeled_program, OptConfig, OptStats,
 };
@@ -45,20 +46,34 @@ use pipesched::ir::{dot, parse::parse_block, BasicBlock, DepDag};
 use pipesched::machine::{config as machine_config, presets, Machine};
 use pipesched::regalloc::{allocate, emit, max_pressure};
 use pipesched::sim::{pad_schedule, TimingModel, Trace};
+use pipesched::solve::{solve, Plan, ProofSink};
 
+/// The option grammar of the one-shot commands (`schedule`, `lint`,
+/// `certify`, `prove`, `trace`); each reads the options it needs.
 struct Options {
-    input: String,
+    inputs: Vec<String>,
     machine: String,
     emit: String,
     lambda: u64,
     window: Option<usize>,
-    parallel: bool,
     threads: usize,
     optimize: bool,
     regs: Option<usize>,
     json: bool,
     proof: Option<String>,
     backend: Backend,
+    /// `lint --frontend`: validate the optimizer transcript and lint the
+    /// optimized block too.
+    frontend: bool,
+    /// `lint --strict`: warnings also fail the exit code.
+    strict: bool,
+    /// `lint --concurrency`: static lock-order scan over Rust sources
+    /// instead of IR linting (inputs become directories to scan).
+    concurrency: bool,
+    /// `trace --flame`: folded flamegraph stacks.
+    flame: bool,
+    /// `trace --ndjson`: the raw span dump.
+    ndjson: bool,
 }
 
 fn usage() -> ! {
@@ -71,10 +86,11 @@ fn usage() -> ! {
          \x20                [--frontend] [--strict]\n\
          \x20      pipesched lint --concurrency [DIR ...] [--json] [--strict]\n\
          \x20      pipesched certify <input> [--machine NAME|FILE] [--lambda N] [--window N]\n\
-         \x20                [--parallel] [--threads N] [--json] [--no-optimize]\n\
-         \x20                [--proof FILE.ndjson]\n\
-         \x20      pipesched prove [INPUT ...] [--machine NAME|FILE] [--lambda N] [--json]\n\
+         \x20                [--parallel] [--threads N] [--backend bnb|sat|race] [--json]\n\
          \x20                [--no-optimize] [--proof FILE.ndjson]\n\
+         \x20      pipesched prove [INPUT ...] [--machine NAME|FILE] [--lambda N] [--json]\n\
+         \x20                [--threads N] [--backend bnb|sat|race] [--no-optimize]\n\
+         \x20                [--proof FILE.ndjson]\n\
          \x20      pipesched serve [--workers N] [--nodes N] [--cache N] [--shards N]\n\
          \x20                [--threads N] [--tcp ADDR[:PORT]] [--conns N] [--cache-file FILE]\n\
          \x20                [--metrics] [--trace] [--verify-opt] [--backend bnb|sat|race]\n\
@@ -91,28 +107,25 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
-fn parse_options() -> Result<Options, String> {
-    let mut input = None;
+/// Parse the arguments after the first `skip` (program name, subcommand).
+fn parse_options(skip: usize) -> Result<Options, String> {
     let mut opts = Options {
-        input: String::new(),
+        inputs: Vec::new(),
         machine: "paper-simulation".into(),
         emit: "asm".into(),
         lambda: 50_000,
         window: None,
-        parallel: false,
-        threads: 0,
+        threads: 1,
         optimize: true,
         regs: None,
         json: false,
         proof: None,
         backend: Backend::Bnb,
-    };
-    // `pipesched schedule <input>` is an explicit alias for the default
-    // scheduling pipeline.
-    let skip = if std::env::args().nth(1).as_deref() == Some("schedule") {
-        2
-    } else {
-        1
+        frontend: false,
+        strict: false,
+        concurrency: false,
+        flame: false,
+        ndjson: false,
     };
     let mut args = std::env::args().skip(skip);
     while let Some(a) = args.next() {
@@ -131,10 +144,9 @@ fn parse_options() -> Result<Options, String> {
             "--regs" => opts.regs = Some(value()?.parse().map_err(|e| format!("--regs: {e}"))?),
             "--json" => opts.json = true,
             "--proof" => opts.proof = Some(value()?),
-            "--parallel" => opts.parallel = true,
+            "--parallel" => opts.threads = 0,
             "--threads" => {
                 opts.threads = value()?.parse().map_err(|e| format!("--threads: {e}"))?;
-                opts.parallel = true;
             }
             "--backend" => {
                 let name = value()?;
@@ -142,14 +154,27 @@ fn parse_options() -> Result<Options, String> {
                     .ok_or_else(|| format!("--backend: unknown backend `{name}` (bnb|sat|race)"))?;
             }
             "--no-optimize" => opts.optimize = false,
+            "--frontend" => opts.frontend = true,
+            "--strict" => opts.strict = true,
+            "--concurrency" => opts.concurrency = true,
+            "--flame" => opts.flame = true,
+            "--ndjson" => opts.ndjson = true,
             "--help" | "-h" => usage(),
-            other if input.is_none() && !other.starts_with('-') => input = Some(other.to_string()),
-            "-" if input.is_none() => input = Some("-".into()),
+            "-" => opts.inputs.push("-".into()),
+            other if !other.starts_with('-') => opts.inputs.push(other.to_string()),
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    opts.input = input.ok_or("missing input file")?;
     Ok(opts)
+}
+
+/// The single input of a one-input command.
+fn single_input(opts: &Options, command: &str) -> Result<String, String> {
+    match opts.inputs.as_slice() {
+        [input] => Ok(input.clone()),
+        [] => Err(format!("{command} needs an input")),
+        [_, extra, ..] => Err(format!("unknown argument `{extra}`")),
+    }
 }
 
 fn load_machine(spec: &str) -> Result<Machine, String> {
@@ -185,6 +210,40 @@ fn read_input(input: &str) -> Result<String, String> {
     } else {
         std::fs::read_to_string(input).map_err(|e| format!("read {input}: {e}"))
     }
+}
+
+/// Read an NDJSON request stream (`-` for stdin) as raw bytes: a line
+/// that is not UTF-8 is the server's to answer with an error response,
+/// not a reason to refuse the whole file.
+fn read_requests(input: &str) -> Result<Vec<u8>, String> {
+    if input == "-" {
+        let mut buf = Vec::new();
+        std::io::stdin()
+            .read_to_end(&mut buf)
+            .map_err(|e| format!("stdin: {e}"))?;
+        Ok(buf)
+    } else {
+        std::fs::read(input).map_err(|e| format!("read {input}: {e}"))
+    }
+}
+
+/// Replay a request file (`-` for stdin) through a fresh default engine
+/// and hand the engine back for its stats, metrics or flight record.
+fn replay_locally(
+    input: &str,
+    nodes: u64,
+    workers: usize,
+) -> Result<pipesched::service::ServiceEngine, String> {
+    let text = read_requests(input)?;
+    let engine_config = pipesched::service::EngineConfig {
+        default_nodes: nodes,
+        ..Default::default()
+    };
+    let engine = pipesched::service::ServiceEngine::new(engine_config, 1024, 8);
+    let serve = pipesched::service::ServeConfig { workers };
+    pipesched::service::run_batch(&engine, &text, &serve, false, false)
+        .map_err(|e| e.to_string())?;
+    Ok(engine)
 }
 
 /// Optimize under translation validation: every rewrite the optimizer
@@ -240,75 +299,6 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-/// Shared option grammar of the `lint` and `certify` subcommands.
-struct AnalyzeOptions {
-    inputs: Vec<String>,
-    machine: String,
-    json: bool,
-    optimize: bool,
-    lambda: u64,
-    window: Option<usize>,
-    parallel: bool,
-    threads: usize,
-    proof: Option<String>,
-    /// `lint --frontend`: validate the optimizer transcript and lint the
-    /// optimized block too.
-    frontend: bool,
-    /// `lint --strict`: warnings also fail the exit code.
-    strict: bool,
-    /// `lint --concurrency`: static lock-order scan over Rust sources
-    /// instead of IR linting (inputs become directories to scan).
-    concurrency: bool,
-}
-
-fn parse_analyze_options() -> Result<AnalyzeOptions, String> {
-    let mut opts = AnalyzeOptions {
-        inputs: Vec::new(),
-        machine: "paper-simulation".into(),
-        json: false,
-        optimize: true,
-        lambda: 50_000,
-        window: None,
-        parallel: false,
-        threads: 0,
-        proof: None,
-        frontend: false,
-        strict: false,
-        concurrency: false,
-    };
-    let mut args = std::env::args().skip(2);
-    while let Some(a) = args.next() {
-        let mut value = || args.next().ok_or_else(|| format!("{a} requires a value"));
-        match a.as_str() {
-            "--machine" => opts.machine = value()?,
-            "--lambda" => opts.lambda = value()?.parse().map_err(|e| format!("--lambda: {e}"))?,
-            "--window" => {
-                let w: usize = value()?.parse().map_err(|e| format!("--window: {e}"))?;
-                if w == 0 {
-                    return Err("--window must be at least 1".into());
-                }
-                opts.window = Some(w);
-            }
-            "--json" => opts.json = true,
-            "--proof" => opts.proof = Some(value()?),
-            "--parallel" => opts.parallel = true,
-            "--threads" => {
-                opts.threads = value()?.parse().map_err(|e| format!("--threads: {e}"))?;
-                opts.parallel = true;
-            }
-            "--no-optimize" => opts.optimize = false,
-            "--frontend" => opts.frontend = true,
-            "--strict" => opts.strict = true,
-            "--concurrency" => opts.concurrency = true,
-            "--help" | "-h" => usage(),
-            "-" => opts.inputs.push("-".into()),
-            other if !other.starts_with('-') => opts.inputs.push(other.to_string()),
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    Ok(opts)
 }
 
 /// Print reports (text or a JSON array); exit 1 when any has errors —
@@ -413,7 +403,7 @@ fn tuple_line_numbers(text: &str) -> Vec<usize> {
 /// optimization on, the optimizer runs under translation validation and
 /// a rejected transcript joins the reports; `--frontend` additionally
 /// lints the optimized block.
-fn lint_input(input: &str, opts: &AnalyzeOptions) -> Result<Vec<analyze::Report>, String> {
+fn lint_input(input: &str, opts: &Options) -> Result<Vec<analyze::Report>, String> {
     let text = read_input(input)?;
     let mut reports = Vec::new();
     if text.trim_start().starts_with(";; tuples") {
@@ -515,7 +505,7 @@ fn concurrency_report(inputs: &[String]) -> analyze::Report {
 /// `.tuples`), or `-`; each block gets its own report. With
 /// `--concurrency`, runs the lock-order source scan instead.
 fn run_lint() -> Result<ExitCode, String> {
-    let opts = parse_analyze_options()?;
+    let opts = parse_options(2)?;
     if opts.concurrency {
         let report = concurrency_report(&opts.inputs);
         return Ok(emit_reports(&[report], opts.json, opts.strict));
@@ -531,14 +521,12 @@ fn run_lint() -> Result<ExitCode, String> {
 /// `pipesched certify`: schedule each input, certify the result against
 /// the independent re-derivation, and cross-check all schedulers.
 fn run_certify() -> Result<ExitCode, String> {
-    let opts = parse_analyze_options()?;
+    let opts = parse_options(2)?;
     if opts.inputs.is_empty() {
         return Err("certify needs at least one input".into());
     }
-    if opts.proof.is_some() && (opts.window.is_some() || opts.parallel) {
-        return Err(
-            "--proof requires the plain branch-and-bound (drop --window/--parallel)".into(),
-        );
+    if opts.proof.is_some() && opts.window.is_some() {
+        return Err("--proof requires the branch-and-bound (drop --window)".into());
     }
     let machine = load_machine(&opts.machine)?;
     let mut reports = Vec::new();
@@ -556,61 +544,52 @@ fn run_certify() -> Result<ExitCode, String> {
     for block in &blocks {
         let dag = DepDag::build(block);
         let ctx = SchedContext::new(block, &dag, &machine);
-        let cert = if let Some(window) = opts.window {
+        let (cert, proof) = if let Some(window) = opts.window {
             let w = windowed_schedule(&ctx, window, opts.lambda);
-            analyze::certify::certify(
-                block,
-                &machine,
-                analyze::Claim {
-                    order: &w.order,
-                    etas: Some(&w.etas),
-                    nops: Some(w.nops),
-                    ..analyze::Claim::default()
-                },
-            )
-        } else if opts.parallel {
-            let out = pipesched::core::parallel::parallel_search(
-                &ctx,
-                &SearchConfig::with_lambda(opts.lambda),
-                &pipesched::core::ParallelConfig::with_threads(opts.threads),
-            );
-            analyze::certify::certify(
-                block,
-                &machine,
-                analyze::Claim {
-                    order: &out.order,
-                    assignment: Some(&out.assignment),
-                    etas: Some(&out.etas),
-                    nops: Some(out.nops),
-                },
-            )
+            let claim = analyze::Claim {
+                order: &w.order,
+                etas: Some(&w.etas),
+                nops: Some(w.nops),
+                ..analyze::Claim::default()
+            };
+            (analyze::certify::certify(block, &machine, claim), None)
         } else {
-            let out = Scheduler::new(machine.clone())
-                .with_lambda(opts.lambda)
-                .schedule_with_dag(block, &dag);
-            analyze::certify_scheduled(block, &machine, &out)
+            let plan = Plan {
+                search: SearchConfig::with_lambda(opts.lambda),
+                parallel: ParallelConfig::with_threads(opts.threads),
+                backend: opts.backend,
+                proof: proof_sink(opts.proof.as_deref())?,
+                ..Plan::default()
+            };
+            let out = solve(&ctx, &plan);
+            let a = &out.answer;
+            let claim = analyze::Claim {
+                order: &a.order,
+                assignment: Some(&a.assignment),
+                etas: Some(&a.etas),
+                nops: Some(a.nops),
+            };
+            (analyze::certify::certify(block, &machine, claim), out.proof)
         };
         let claimed_nops = cert.derived_nops;
         let mut report = cert.report;
         report.merge(analyze::cross_check(block, &machine, opts.lambda));
 
         // `--proof FILE`: escalate from certification to an optimality
-        // proof — stream a certificate, read it back, and replay it
-        // through the independent checker; its verdict (and any A04xx
-        // rejection) joins the report.
-        if let Some(path) = &opts.proof {
-            let (check, trailer_nops) = prove_to_file(&ctx, block, &machine, opts.lambda, path)?;
-            if check.is_certified() {
-                if let (Some(claimed), Some(trailer)) = (claimed_nops, trailer_nops) {
-                    if claimed != u64::from(trailer) {
-                        report.push(analyze::Diagnostic::new(
-                            analyze::DiagCode::IncumbentRegression,
-                            format!(
-                                "certified schedule claims μ {claimed} but the \
-                                     optimality certificate proves μ {trailer}"
-                            ),
-                        ));
-                    }
+        // proof — the certificate streamed during the search is read back
+        // and replayed through the independent checker; its verdict (and
+        // any A04xx rejection) joins the report.
+        if let (Some(path), Some(proof)) = (&opts.proof, &proof) {
+            let (check, proved) = check_streamed(path, block, &machine, proof)?;
+            if let (true, Some(claimed)) = (check.is_certified(), claimed_nops) {
+                if claimed != u64::from(proved) {
+                    report.push(analyze::Diagnostic::new(
+                        analyze::DiagCode::IncumbentRegression,
+                        format!(
+                            "certified schedule claims μ {claimed} but the \
+                                 optimality certificate proves μ {proved}"
+                        ),
+                    ));
                 }
             }
             report.merge(check.report);
@@ -620,24 +599,27 @@ fn run_certify() -> Result<ExitCode, String> {
     Ok(emit_reports(&reports, opts.json, opts.strict))
 }
 
-/// Run the certificate-logged search streaming to `path`, read the file
-/// back, and check it. Returns the checker's result plus the certificate's
-/// claimed μ.
-fn prove_to_file(
-    ctx: &SchedContext<'_>,
+/// `--proof FILE` as a plan's certificate sink (a buffered NDJSON file
+/// stream), or no certificate.
+fn proof_sink(path: Option<&str>) -> Result<ProofSink, String> {
+    Ok(match path {
+        Some(path) => {
+            let file = std::fs::File::create(path).map_err(|e| format!("create {path}: {e}"))?;
+            ProofSink::streamed(Box::new(std::io::BufWriter::new(file)))
+        }
+        None => ProofSink::Off,
+    })
+}
+
+/// Read back the certificate a search streamed to `path` and check it.
+/// Returns the checker's result plus the certificate's claimed μ.
+fn check_streamed(
+    path: &str,
     block: &BasicBlock,
     machine: &Machine,
-    lambda: u64,
-    path: &str,
-) -> Result<(pipesched::proof::ProofCheck, Option<u32>), String> {
-    let file = std::fs::File::create(path).map_err(|e| format!("create {path}: {e}"))?;
-    let logger = ProofLogger::streaming(Box::new(std::io::BufWriter::new(file)));
-    let cfg = SearchConfig {
-        lambda,
-        ..SearchConfig::default()
-    };
-    let (_, proof) = search_with_proof(ctx, &cfg, logger);
-    if let Some(e) = proof.io_error {
+    proof: &ProofOutput,
+) -> Result<(pipesched::proof::ProofCheck, u32), String> {
+    if let Some(e) = &proof.io_error {
         return Err(format!("write {path}: {e}"));
     }
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
@@ -645,10 +627,9 @@ fn prove_to_file(
     if cert.digest() != proof.digest {
         return Err(format!("{path}: digest mismatch after round trip"));
     }
-    let trailer_nops = cert.trailer.nops;
     Ok((
         pipesched::proof::check_certificate(block, machine, &cert),
-        Some(trailer_nops),
+        cert.trailer.nops,
     ))
 }
 
@@ -656,12 +637,12 @@ fn prove_to_file(
 /// verify the transcript with the independent checker. Exit failure unless
 /// every block comes back `OptimalCertified`.
 fn run_prove() -> Result<ExitCode, String> {
-    let opts = parse_analyze_options()?;
+    let opts = parse_options(2)?;
     if opts.inputs.is_empty() {
         return Err("prove needs at least one input".into());
     }
-    if opts.window.is_some() || opts.parallel {
-        return Err("prove uses the plain branch-and-bound (drop --window/--parallel)".into());
+    if opts.window.is_some() {
+        return Err("prove uses the branch-and-bound (drop --window)".into());
     }
     let machine = load_machine(&opts.machine)?;
     let mut blocks: Vec<(String, BasicBlock)> = Vec::new();
@@ -684,22 +665,31 @@ fn run_prove() -> Result<ExitCode, String> {
     for (label, block) in &blocks {
         let dag = DepDag::build(block);
         let ctx = SchedContext::new(block, &dag, &machine);
-        let (check, digest, events) = if let Some(path) = &opts.proof {
-            let (check, _) = prove_to_file(&ctx, block, &machine, opts.lambda, path)?;
-            (check, None, None)
-        } else {
-            let cfg = SearchConfig {
-                lambda: opts.lambda,
-                ..SearchConfig::default()
-            };
-            let (_, cert) = pipesched::core::prove(&ctx, &cfg);
-            let digest = cert.digest();
-            let events = cert.events.len() as u64;
-            (
-                pipesched::proof::check_certificate(block, &machine, &cert),
-                Some(digest),
-                Some(events),
-            )
+        let plan = Plan {
+            search: SearchConfig::with_lambda(opts.lambda),
+            parallel: ParallelConfig::with_threads(opts.threads),
+            backend: opts.backend,
+            proof: match &opts.proof {
+                Some(path) => proof_sink(Some(path))?,
+                None => ProofSink::InMemory,
+            },
+            ..Plan::default()
+        };
+        let proof = solve(&ctx, &plan)
+            .proof
+            .ok_or_else(|| format!("{label}: the answer is not proven optimal"))?;
+        let (check, digest, events) = match (&opts.proof, &proof.certificate) {
+            (Some(path), _) => (check_streamed(path, block, &machine, &proof)?.0, None, None),
+            (None, cert) => {
+                let cert = cert
+                    .as_ref()
+                    .expect("an in-memory sink keeps the certificate");
+                (
+                    pipesched::proof::check_certificate(block, &machine, cert),
+                    Some(proof.digest),
+                    Some(proof.events),
+                )
+            }
         };
         let (verdict, nops) = match check.verdict {
             pipesched::proof::ProofVerdict::OptimalCertified { nops } => {
@@ -797,169 +787,91 @@ fn solve_stats_json(out: &pipesched::solve::SolveOutcome) -> pipesched::json::Js
 }
 
 fn run() -> Result<(), String> {
-    let opts = match parse_options() {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("pipesched: {e}");
-            usage();
-        }
+    // `pipesched schedule <input>` is an explicit alias for the default
+    // scheduling pipeline.
+    let skip = if std::env::args().nth(1).as_deref() == Some("schedule") {
+        2
+    } else {
+        1
     };
+    let parsed = parse_options(skip).and_then(|o| Ok((single_input(&o, "schedule")?, o)));
+    let (input, opts) = parsed.unwrap_or_else(|e| {
+        eprintln!("pipesched: {e}");
+        usage()
+    });
     let machine = load_machine(&opts.machine)?;
-    if opts.proof.is_some() && (opts.window.is_some() || opts.parallel) {
-        return Err(
-            "--proof requires the plain branch-and-bound (drop --window/--parallel)".into(),
-        );
+    if opts.window.is_some() && (opts.proof.is_some() || opts.backend != Backend::Bnb) {
+        return Err("--window runs the windowed scheduler (drop --proof/--backend)".into());
     }
-    if opts.backend != Backend::Bnb
-        && (opts.window.is_some() || opts.parallel || opts.proof.is_some())
-    {
-        return Err(
-            "--backend sat/race runs the plain pipeline (drop --window/--parallel/--proof)".into(),
-        );
-    }
-    let (block, opt_stats) = load_block_with_stats(&opts.input, opts.optimize)?;
+    let (block, opt_stats) = load_block_with_stats(&input, opts.optimize)?;
     let dag = DepDag::build(&block);
+    let ctx = SchedContext::new(&block, &dag, &machine);
 
-    // Schedule. All paths reuse the DAG built above — the facade's
-    // `schedule_with_dag` entry point exists so the CLI never pays for a
-    // second dependence analysis.
+    // Schedule: the windowed heuristic, or one exact search through the
+    // dispatcher — every path reuses the DAG built above.
     let sched_start = std::time::Instant::now();
     let mut sat_json = pipesched::json::Json::Null;
     let mut race_json = pipesched::json::Json::Null;
-    let (order, etas, nops, initial_nops, optimal, stats) = if opts.backend == Backend::Sat {
-        let _s = pipesched::trace::span("backend_sat");
-        let ctx = SchedContext::new(&block, &dag, &machine);
-        let out = pipesched::solve::solve_schedule(&ctx, &pipesched::solve::SolveConfig::default());
-        // The SAT trail is independently audited — full certification of
-        // the answer plus model re-checks against a rebuilt encoding. A
-        // rejection here is a solver bug, never something to serve.
-        let report = pipesched::solve::audit::audit_outcome(&block, &machine, &out);
-        if report.has_errors() {
-            return Err(format!("SAT backend failed its audit:\n{report}"));
-        }
-        sat_json = solve_stats_json(&out);
-        (
-            out.order,
-            out.etas,
-            out.nops,
-            out.initial_nops,
-            out.optimal,
-            pipesched::core::SearchStats::default(),
-        )
-    } else if opts.backend == Backend::Race {
-        let _s = pipesched::trace::span("backend_race");
-        let ctx = SchedContext::new(&block, &dag, &machine);
-        let race_cfg = pipesched::solve::RaceConfig {
-            lambda: opts.lambda,
-            // Let both finish: the whole point of `--backend race` on the
-            // command line (and in CI) is the cross-certification.
-            cancel_loser: false,
-            ..Default::default()
-        };
-        let out = pipesched::solve::race(&ctx, &race_cfg);
-        let agree = pipesched::solve::audit::cross_check(
-            &block,
-            out.bnb.optimal,
-            out.bnb.nops,
-            out.sat.optimal,
-            out.sat.nops,
-        );
-        if out.disagreement || agree.has_errors() {
-            return Err(format!(
-                "backend disagreement: B&B proved {} NOPs, SAT proved {} NOPs\n{agree}",
-                out.bnb.nops, out.sat.nops
-            ));
-        }
-        let report = pipesched::solve::audit::audit_outcome(&block, &machine, &out.sat);
-        if report.has_errors() {
-            return Err(format!("SAT side of the race failed its audit:\n{report}"));
-        }
-        race_json = pipesched::json::json_object![
-            ("winner", out.winner.name()),
-            ("bnb_micros", out.bnb_micros as i64),
-            ("sat_micros", out.sat_micros as i64),
-            ("bnb_nops", i64::from(out.bnb.nops)),
-            ("sat_nops", i64::from(out.sat.nops)),
-        ];
-        sat_json = solve_stats_json(&out.sat);
-        if out.winner == Backend::Sat {
-            let sat = out.sat;
-            (
-                sat.order,
-                sat.etas,
-                sat.nops,
-                sat.initial_nops,
-                sat.optimal,
-                pipesched::core::SearchStats::default(),
-            )
-        } else {
-            let bnb = out.bnb;
-            (
-                bnb.order,
-                bnb.etas,
-                bnb.nops,
-                bnb.initial_nops,
-                bnb.optimal,
-                bnb.stats,
-            )
-        }
-    } else if let Some(window) = opts.window {
-        let ctx = SchedContext::new(&block, &dag, &machine);
+    let (order, etas, nops, initial_nops, optimal, stats) = if let Some(window) = opts.window {
         let w = windowed_schedule(&ctx, window, opts.lambda);
         let truncated = w.stats.truncated;
         (w.order, w.etas, w.nops, w.initial_nops, !truncated, w.stats)
-    } else if opts.parallel {
-        let ctx = SchedContext::new(&block, &dag, &machine);
-        let out = pipesched::core::parallel::parallel_search(
-            &ctx,
-            &SearchConfig::with_lambda(opts.lambda),
-            &pipesched::core::ParallelConfig::with_threads(opts.threads),
-        );
-        (
-            out.order,
-            out.etas,
-            out.nops,
-            out.initial_nops,
-            out.optimal,
-            out.stats,
-        )
-    } else if let Some(path) = &opts.proof {
-        // Same search, but streaming an optimality certificate to disk as
-        // NDJSON while it runs.
-        let ctx = SchedContext::new(&block, &dag, &machine);
-        let file = std::fs::File::create(path).map_err(|e| format!("create {path}: {e}"))?;
-        let logger = ProofLogger::streaming(Box::new(std::io::BufWriter::new(file)));
-        let cfg = SearchConfig {
-            lambda: opts.lambda,
-            ..SearchConfig::default()
-        };
-        let (out, proof) = search_with_proof(&ctx, &cfg, logger);
-        if let Some(e) = proof.io_error {
-            return Err(format!("write {path}: {e}"));
-        }
-        eprintln!(
-            "; certificate: {} events, digest {:016x} -> {path}",
-            proof.events, proof.digest
-        );
-        (
-            out.order,
-            out.etas,
-            out.nops,
-            out.initial_nops,
-            out.optimal,
-            out.stats,
-        )
     } else {
-        let scheduler = Scheduler::new(machine.clone()).with_lambda(opts.lambda);
-        let out = scheduler.schedule_with_dag(&block, &dag);
-        (
-            out.order,
-            out.etas,
-            out.nops,
-            out.initial_nops,
-            out.optimal,
-            out.stats,
-        )
+        // Races run both sides to completion (`cancel_loser` off): the
+        // whole point of `--backend race` on the command line (and in CI)
+        // is the cross-certification.
+        let plan = Plan {
+            search: SearchConfig::with_lambda(opts.lambda),
+            parallel: ParallelConfig::with_threads(opts.threads),
+            backend: opts.backend,
+            proof: proof_sink(opts.proof.as_deref())?,
+            ..Plan::default()
+        };
+        let out = solve(&ctx, &plan);
+        if let (Some(race), Some(sat)) = (&out.race, &out.sat) {
+            let agree = pipesched::solve::audit::cross_check(
+                &block,
+                race.bnb_optimal,
+                race.bnb_nops,
+                sat.optimal,
+                sat.nops,
+            );
+            if race.disagreement || agree.has_errors() {
+                return Err(format!(
+                    "backend disagreement: B&B proved {} NOPs, SAT proved {} NOPs\n{agree}",
+                    race.bnb_nops, sat.nops
+                ));
+            }
+            race_json = pipesched::json::json_object![
+                ("winner", out.backend.name()),
+                ("bnb_micros", race.bnb_micros as i64),
+                ("sat_micros", race.sat_micros as i64),
+                ("bnb_nops", i64::from(race.bnb_nops)),
+                ("sat_nops", i64::from(sat.nops)),
+            ];
+        }
+        if let Some(sat) = &out.sat {
+            // The SAT trail is independently audited — full certification
+            // of the answer plus model re-checks against a rebuilt
+            // encoding. A rejection here is a solver bug, never something
+            // to serve.
+            let report = pipesched::solve::audit::audit_outcome(&block, &machine, sat);
+            if report.has_errors() {
+                return Err(format!("SAT backend failed its audit:\n{report}"));
+            }
+            sat_json = solve_stats_json(sat);
+        }
+        if let (Some(path), Some(proof)) = (&opts.proof, &out.proof) {
+            if let Some(e) = &proof.io_error {
+                return Err(format!("write {path}: {e}"));
+            }
+            eprintln!(
+                "; certificate: {} events, digest {:016x} -> {path}",
+                proof.events, proof.digest
+            );
+        }
+        let a = out.answer;
+        (a.order, a.etas, a.nops, a.initial_nops, a.optimal, a.stats)
     };
     let wall_micros = sched_start.elapsed().as_micros() as u64;
     let omega = stats.omega_calls;
@@ -996,7 +908,7 @@ fn run() -> Result<(), String> {
             .map(|&e| pipesched::json::Json::Int(i64::from(e)))
             .collect();
         let doc = pipesched::json::json_object![
-            ("input", opts.input.as_str()),
+            ("input", input.as_str()),
             ("machine", machine.name.as_str()),
             ("instructions", block.len()),
             ("order", pipesched::json::Json::Array(order_json)),
@@ -1082,20 +994,17 @@ fn run() -> Result<(), String> {
             print!("{program}");
         }
         "stats" => {
-            // Run the plain search too so stats reflect the standard path.
-            let ctx = SchedContext::new(&block, &dag, &machine);
-            let out = search(&ctx, &SearchConfig::with_lambda(opts.lambda));
             let structure = pipesched::ir::BlockStats::collect(&block, &dag);
             println!("machine:            {}", machine.name);
             print!("{structure}");
-            println!("initial (list) NOPs:{:>6}", out.initial_nops);
-            println!("final NOPs:         {:>6}", out.nops);
+            println!("initial (list) NOPs:{initial_nops:>6}");
+            println!("final NOPs:         {nops:>6}");
             println!(
                 "total cycles:       {:>6}",
-                block.len() as u64 + u64::from(out.nops)
+                block.len() as u64 + u64::from(nops)
             );
-            println!("omega calls:        {:>6}", out.stats.omega_calls);
-            println!("provably optimal:   {}", out.optimal);
+            println!("omega calls:        {omega:>6}");
+            println!("provably optimal:   {optimal}");
             return Ok(());
         }
         other => return Err(format!("unknown --emit `{other}`")),
@@ -1263,15 +1172,7 @@ fn run_batch_cmd() -> Result<ExitCode, String> {
     if prove && !check {
         return Err("--prove requires --check".into());
     }
-    let text = if input == "-" {
-        let mut buf = String::new();
-        std::io::stdin()
-            .read_to_string(&mut buf)
-            .map_err(|e| format!("stdin: {e}"))?;
-        buf
-    } else {
-        std::fs::read_to_string(&input).map_err(|e| format!("read {input}: {e}"))?
-    };
+    let text = read_requests(&input)?;
 
     let summary = if let Some(addr) = &tcp {
         // Client mode: replay the file against a running `pipesched serve
@@ -1337,8 +1238,12 @@ fn run_batch_cmd() -> Result<ExitCode, String> {
         );
     }
 
-    let mut failed = summary.errors > 0;
-    if check && (summary.certify_failures > 0 || summary.certified != summary.ok) {
+    // Error responses are answers too (a bad line gets one and the replay
+    // goes on); only the gates below fail the run.
+    let mut failed = false;
+    if check
+        && (summary.errors > 0 || summary.certify_failures > 0 || summary.certified != summary.ok)
+    {
         eprintln!("pipesched: certification gate failed");
         failed = true;
     }
@@ -1363,7 +1268,7 @@ fn run_batch_cmd() -> Result<ExitCode, String> {
 /// on filled kernel buffers.
 fn replay_tcp(
     addr: &str,
-    text: &str,
+    text: &[u8],
     check: bool,
     prove: bool,
 ) -> Result<pipesched::service::BatchSummary, String> {
@@ -1372,7 +1277,7 @@ fn replay_tcp(
     let mut writer = stream.try_clone().map_err(|e| e.to_string())?;
     let responses_text = std::thread::scope(|scope| -> Result<String, String> {
         let feeder = scope.spawn(move || -> std::io::Result<()> {
-            writer.write_all(text.as_bytes())?;
+            writer.write_all(text)?;
             writer.flush()?;
             writer.shutdown(std::net::Shutdown::Write)
         });
@@ -1399,7 +1304,7 @@ fn replay_tcp(
         })
         .count() as u64;
     Ok(pipesched::service::summarize_responses(
-        text,
+        &String::from_utf8_lossy(text),
         responses,
         wall_micros,
         cache_hits,
@@ -1504,31 +1409,7 @@ fn run_stats() -> Result<ExitCode, String> {
     // Local mode: replay a request file through a fresh engine, then dump
     // that engine's stats.
     let input = input.ok_or("stats needs a request file or --tcp ADDR")?;
-    let text = if input == "-" {
-        let mut buf = String::new();
-        std::io::stdin()
-            .read_to_string(&mut buf)
-            .map_err(|e| format!("stdin: {e}"))?;
-        buf
-    } else {
-        std::fs::read_to_string(&input).map_err(|e| format!("read {input}: {e}"))?
-    };
-    let engine = pipesched::service::ServiceEngine::new(
-        pipesched::service::EngineConfig {
-            default_nodes: nodes,
-            ..Default::default()
-        },
-        1024,
-        8,
-    );
-    pipesched::service::run_batch(
-        &engine,
-        &text,
-        &pipesched::service::ServeConfig { workers },
-        false,
-        false,
-    )
-    .map_err(|e| e.to_string())?;
+    let engine = replay_locally(&input, nodes, workers)?;
 
     if prom {
         print!("{}", engine.prometheus());
@@ -1546,33 +1427,13 @@ fn run_stats() -> Result<ExitCode, String> {
 /// profiling enabled, then render the span tree (default), folded
 /// flamegraph stacks (`--flame`), or the raw NDJSON dump (`--ndjson`).
 fn run_trace() -> Result<ExitCode, String> {
-    let mut input: Option<String> = None;
-    let mut machine_spec = "paper-simulation".to_string();
-    let mut lambda = 50_000u64;
-    let mut optimize = true;
-    let mut flame = false;
-    let mut ndjson = false;
-
-    let mut args = std::env::args().skip(2);
-    while let Some(a) = args.next() {
-        let mut value = || args.next().ok_or_else(|| format!("{a} requires a value"));
-        match a.as_str() {
-            "--machine" => machine_spec = value()?,
-            "--lambda" => lambda = value()?.parse().map_err(|e| format!("--lambda: {e}"))?,
-            "--no-optimize" => optimize = false,
-            "--flame" => flame = true,
-            "--ndjson" => ndjson = true,
-            "--help" | "-h" => usage(),
-            "-" if input.is_none() => input = Some("-".into()),
-            other if input.is_none() && !other.starts_with('-') => input = Some(other.to_string()),
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    let input = input.ok_or("trace needs an input")?;
+    let opts = parse_options(2)?;
+    let input = single_input(&opts, "trace")?;
+    let (lambda, optimize, flame, ndjson) = (opts.lambda, opts.optimize, opts.flame, opts.ndjson);
     if flame && ndjson {
         return Err("--flame and --ndjson are mutually exclusive".into());
     }
-    let machine = load_machine(&machine_spec)?;
+    let machine = load_machine(&opts.machine)?;
 
     // Record the whole pipeline under one trace: frontend passes fire
     // their own spans inside `compile`, and the search runs with the
@@ -1581,7 +1442,6 @@ fn run_trace() -> Result<ExitCode, String> {
     // `pipesched <input> --json`.
     pipesched::trace::set_enabled(true);
     pipesched::trace::begin(&input);
-    let mut profile = pipesched::core::SearchProfile::new();
     let outcome = {
         let _root = pipesched::trace::span("pipesched");
         let block = load_block_from(&input, optimize)?;
@@ -1591,22 +1451,21 @@ fn run_trace() -> Result<ExitCode, String> {
         };
         let ctx = SchedContext::new(&block, &dag, &machine);
         let _s = pipesched::trace::span("search");
-        let out = pipesched::core::search_with_profile(
-            &ctx,
-            &SearchConfig::with_lambda(lambda),
-            &mut profile,
-        );
-        for (depth, d) in profile.depths.iter().enumerate() {
-            pipesched::trace::point2("bnb_depth_nodes", depth as i64, d.nodes as i64);
-            pipesched::trace::point2("bnb_depth_omega", depth as i64, d.omega_calls as i64);
-            pipesched::trace::point2(
-                "bnb_depth_pruned_bound",
-                depth as i64,
-                d.pruned_bound as i64,
-            );
-        }
+        let plan = Plan {
+            search: SearchConfig::with_lambda(lambda),
+            profile: true,
+            ..Plan::default()
+        };
+        let out = solve(&ctx, &plan);
+        out.profile
+            .iter()
+            .for_each(pipesched::service::trace_search_profile);
         out
     };
+    let profile = outcome
+        .profile
+        .as_ref()
+        .expect("the plan asked for a profile");
     let trace = pipesched::trace::end().ok_or("trace recorder returned nothing")?;
     pipesched::trace::set_enabled(false);
 
@@ -1659,9 +1518,9 @@ fn run_trace() -> Result<ExitCode, String> {
     println!(
         "total: {} nodes, {} omega calls; schedule: {} NOPs, {}",
         profile.total_nodes(),
-        outcome.stats.omega_calls,
-        outcome.nops,
-        if outcome.optimal {
+        outcome.answer.stats.omega_calls,
+        outcome.answer.nops,
+        if outcome.answer.optimal {
             "optimal"
         } else {
             "truncated"
@@ -1738,25 +1597,9 @@ fn run_flight() -> Result<ExitCode, String> {
     // Local mode: replay a request file with the recorder enabled, then
     // render what it captured.
     let input = input.ok_or("flight needs a request file or --tcp ADDR")?;
-    let text = read_input(&input)?;
     flight::set_enabled(true);
     flight::reset();
-    let engine = pipesched::service::ServiceEngine::new(
-        pipesched::service::EngineConfig {
-            default_nodes: nodes,
-            ..Default::default()
-        },
-        1024,
-        8,
-    );
-    pipesched::service::run_batch(
-        &engine,
-        &text,
-        &pipesched::service::ServeConfig { workers },
-        false,
-        false,
-    )
-    .map_err(|e| e.to_string())?;
+    replay_locally(&input, nodes, workers)?;
     flight::set_enabled(false);
 
     if dumps {

@@ -86,7 +86,11 @@ fn dot_output_is_a_digraph() {
 #[test]
 fn windowed_and_parallel_modes_run() {
     let src = write_temp("wp.src", SOURCE);
-    for extra in [vec!["--window", "4"], vec!["--parallel"]] {
+    for extra in [
+        vec!["--window", "4"],
+        vec!["--parallel"],
+        vec!["--threads", "2"],
+    ] {
         let out = bin()
             .arg(&src)
             .args(["--emit", "padded"])

@@ -1,7 +1,7 @@
 //! Pin the serial search wrappers bit-identical across refactors.
 //!
-//! The three public entry points (`search`, `search_with_proof`,
-//! `search_with_profile`) were unified into one policy-generic kernel;
+//! The serial entry points (`search`, `search_with_proof`, and a profiled
+//! run through the `solve` dispatcher) share one policy-generic kernel;
 //! these tests hold their observable outputs — schedule, statistics, and
 //! certificate digest — fixed to the values the pre-refactor copies
 //! produced on the checked-in example corpus, so any behavioural drift in
@@ -12,12 +12,11 @@
 //! behaviour is intended.
 
 use pipesched::core::proof::ProofLogger;
-use pipesched::core::{
-    search, search_with_profile, search_with_proof, SchedContext, SearchConfig, SearchProfile,
-};
+use pipesched::core::{search, search_with_proof, SchedContext, SearchConfig};
 use pipesched::frontend::{lower, parse_labeled_program};
 use pipesched::ir::{BasicBlock, DepDag};
 use pipesched::machine::{presets, Machine};
+use pipesched::solve::{solve, Plan};
 
 /// One pinned row: wrapper outputs for (block, machine) under the default
 /// `SearchConfig`.
@@ -185,8 +184,13 @@ fn wrappers_match_pre_refactor_outputs_on_example_corpus() {
 
         let plain = search(&ctx, &cfg);
         let (proved, proof) = search_with_proof(&ctx, &cfg, ProofLogger::in_memory());
-        let mut profile = SearchProfile::new();
-        let profiled = search_with_profile(&ctx, &cfg, &mut profile);
+        let plan = Plan {
+            search: cfg,
+            profile: true,
+            ..Plan::default()
+        };
+        let out = solve(&ctx, &plan);
+        let (profiled, profile) = (&out.answer, out.profile.as_ref().expect("profiled plan"));
 
         if print {
             println!(
